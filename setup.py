@@ -22,7 +22,9 @@ extension = Extension(
 )
 
 if cythonize is not None:
-    ext_modules = cythonize([extension], language_level=3)
+    # generate the C under build/ so that a build never rewrites the
+    # committed _cykernels.c
+    ext_modules = cythonize([extension], language_level=3, build_dir="build")
 else:
     ext_modules = [extension]
 

@@ -5,6 +5,7 @@ from .lindblad import (
     Generator,
     PulseSequence,
     build_generator,
+    fitness_target,
     machnes_gradient,
     split_gradient,
     split_propagator,
@@ -23,6 +24,7 @@ __all__ = [
     "Generator",
     "PulseSequence",
     "build_generator",
+    "fitness_target",
     "machnes_gradient",
     "split_gradient",
     "split_propagator",

@@ -1,37 +1,21 @@
 """Hot-path kernels with a compiled core and a NumPy fallback.
 
-The Cython extension is preferred when importable; set ``SPINCTRL_KERNELS``
-to ``numpy`` or ``cython`` to force a backend (``cython`` raises if the
-extension is missing).
+The Cython extension is used when it can be imported, the NumPy kernels
+otherwise; ``BACKEND`` names the one in use.
 
 Build the compiled core in place with ``python setup.py build_ext --inplace``.
 This needs a C compiler and the Python headers but neither Cython nor a
 network: without Cython the committed ``_cykernels.c`` is compiled.
 """
 
-import os
+try:
+    from . import _cykernels as _impl
 
-_requested = os.environ.get("SPINCTRL_KERNELS", "").strip().lower()
-
-if _requested in ("", "cython"):
-    try:
-        from . import _cykernels as _impl
-
-        BACKEND = "cython"
-    except ImportError:
-        if _requested == "cython":
-            raise
-        from . import _pykernels as _impl
-
-        BACKEND = "numpy"
-elif _requested == "numpy":
+    BACKEND = "cython"
+except ImportError:
     from . import _pykernels as _impl
 
     BACKEND = "numpy"
-else:
-    raise ImportError(
-        f"unknown SPINCTRL_KERNELS value {_requested!r}; use 'cython' or 'numpy'"
-    )
 
 expm = _impl.expm
 chain_product = _impl.chain_product

@@ -40,6 +40,7 @@ __all__ = [
     "machnes_gradient",
     "dt_validity_check",
     "superop_fidelity",
+    "fitness_target",
     "state_fitness",
     "propagate_state",
 ]
@@ -92,12 +93,10 @@ class PulseSequence:
 class Generator:
     """Assembled Lindbladian pieces for one system + noise configuration.
 
-    ``dissipator = jump_part + decay_part`` keeps the two split-method
-    exponents available: the jump part is ``sum gamma L kron conj(L)`` and
-    the decay part the anticommutator half.
+    The dissipator is kept as its two split-method exponents: the jump part
+    ``sum gamma L kron conj(L)`` and the decay part, the anticommutator half.
     """
 
-    dissipator: np.ndarray
     drift_comm: np.ndarray
     control_comms: tuple
     dim: int
@@ -107,7 +106,7 @@ class Generator:
     @property
     def base(self):
         """Control-independent generator: drift commutator plus dissipator."""
-        return self.drift_comm + self.dissipator
+        return self.drift_comm + self.jump_part + self.decay_part
 
     def at(self, hx, hy):
         """Full generator F(hx, hy)."""
@@ -160,7 +159,6 @@ def build_generator(system, control_site, noise=None):
     collapse = build_collapse_ops(system, noise) if noise is not None else []
     jump, decay = _dissipator_parts(collapse, system.dim)
     return Generator(
-        dissipator=jump + decay,
         drift_comm=assemble_hamiltonian_super(h0),
         control_comms=(
             assemble_hamiltonian_super(sx),
@@ -227,32 +225,62 @@ def split_factors(gen, hx, hy, dt):
     return a, b, c
 
 
-def split_propagator(gen, pulses):
-    """Product of per-interval splitting factors, interval 0 first."""
-    d2 = gen.dim * gen.dim
-    a, b = _noise_factors(gen, pulses.dt)
-    ab = a @ b
-    coherent = _kernels.piecewise_steps(
-        gen.drift_comm, gen.control_comms[0], gen.control_comms[1],
-        pulses.hx, pulses.hy, pulses.dt,
-    )
-    total = np.eye(d2, dtype=np.complex128)
-    for k in range(pulses.num_pulses):
-        total = ab @ coherent[k] @ total
-    return total
-
-
-def _coherent_eig(gen, hx, hy):
-    """Eigendecomposition of the Hermitian commutator generator.
+def _split_steps(gen, pulses):
+    """Split steps ``A B C_k`` with the eigensystems of their coherent factors.
 
     ``K(H) = -i Hs`` with ``Hs = H kron I - I kron conj(H)`` Hermitian, so
-    the coherent factor and its exact control derivative both come from the
-    spectrum of Hs.
+    the coherent factor ``C_k = V exp(-i dt w) V^dag`` and its exact control
+    derivative both come from the spectrum ``(w, V)`` of Hs at interval k.
+    Returns ``(steps, A B, [(w, V) per interval])``.
     """
-    hs = 1j * (
-        gen.drift_comm + hx * gen.control_comms[0] + hy * gen.control_comms[1]
-    )
-    return np.linalg.eigh(hs)
+    d2 = gen.dim * gen.dim
+    dt = pulses.dt
+    a, b = _noise_factors(gen, dt)
+    ab = a @ b
+    kx, ky = gen.control_comms
+    steps = np.empty((pulses.num_pulses, d2, d2), dtype=np.complex128)
+    eigs = []
+    for k, (hx, hy) in enumerate(zip(pulses.hx, pulses.hy)):
+        w, v = np.linalg.eigh(1j * (gen.drift_comm + hx * kx + hy * ky))
+        steps[k] = ab @ ((v * np.exp(-1j * dt * w)) @ dagger(v))
+        eigs.append((w, v))
+    return steps, ab, eigs
+
+
+def split_propagator(gen, pulses):
+    """Product of per-interval splitting factors, interval 0 first."""
+    steps, _, _ = _split_steps(gen, pulses)
+    return _kernels.chain_product(steps)
+
+
+def _sweep(steps, target, contract):
+    """Trace fidelity of the chain ``steps[-1] @ ... @ steps[0]`` and its
+    gradient.
+
+    With ``fwd_k`` the product of the steps before interval k and
+    ``back_k`` the product ``target^dag`` times the steps after it, the
+    fidelity is ``Re Tr(env S_k) / d^2`` for ``env = fwd_k @ back_k``.
+    ``contract(k, env)`` returns ``Re Tr(env dS_k/dhx)`` and ``Re Tr(env
+    dS_k/dhy)``.  The forward products are stored; the backward product is
+    one running matrix.  Returns ``(f, grad)`` with ``grad[:M]`` the hx
+    derivatives and ``grad[M:]`` the hy derivatives.
+    """
+    m, d2 = steps.shape[0], steps.shape[-1]
+    norm = 1.0 / d2
+    fwd = np.empty_like(steps)
+    total = np.eye(d2, dtype=np.complex128)
+    for k in range(m):
+        fwd[k] = total
+        total = steps[k] @ total
+    fidelity = float(np.vdot(target, total).real) * norm
+
+    grad = np.empty(2 * m, dtype=np.float64)
+    back = dagger(target)
+    for k in range(m - 1, -1, -1):
+        grad[k], grad[m + k] = contract(k, fwd[k] @ back)
+        if k:
+            back = back @ steps[k]
+    return fidelity, grad * norm
 
 
 def _expm_divided_differences(theta):
@@ -275,102 +303,51 @@ def split_gradient(gen, pulses, target):
     exact evolution is the splitting itself: the coherent factor is
     differentiated exactly through its eigendecomposition.
     """
-    m = pulses.num_pulses
-    d2 = gen.dim * gen.dim
     dt = pulses.dt
-    norm = 1.0 / d2
+    steps, ab, eigs = _split_steps(gen, pulses)
+    hs_controls = [1j * k for k in gen.control_comms]
 
-    a, b = _noise_factors(gen, dt)
-    ab = a @ b
-    hsx = 1j * gen.control_comms[0]
-    hsy = 1j * gen.control_comms[1]
-
-    steps = np.empty((m, d2, d2), dtype=np.complex128)
-    eigs = []
-    for k in range(m):
-        w, v = _coherent_eig(gen, pulses.hx[k], pulses.hy[k])
-        coherent = (v * np.exp(-1j * dt * w)) @ dagger(v)
-        steps[k] = ab @ coherent
-        eigs.append((w, v))
-
-    # forward partial products: fwd[k] applies intervals 0..k-1
-    fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
-    fwd[0] = np.eye(d2)
-    for k in range(m):
-        fwd[k + 1] = steps[k] @ fwd[k]
-
-    # back[k] = target^dag times the intervals after k
-    back = np.empty((m, d2, d2), dtype=np.complex128) if m else None
-    if m:
-        back[m - 1] = dagger(target)
-        for k in range(m - 2, -1, -1):
-            back[k] = back[k + 1] @ steps[k + 1]
-
-    fidelity = float(np.vdot(target, fwd[m]).real) * norm
-
-    grad = np.empty(2 * m, dtype=np.float64)
-    for k in range(m):
+    def contract(k, env):
         w, v = eigs[k]
-        phi = _expm_divided_differences(-dt * w)
-        # trace against dC: Tr(P dC) = sum(Q^T * phi * (-i dt V^dag E V))
-        q = dagger(v) @ (fwd[k] @ back[k] @ ab) @ v
-        gx = dagger(v) @ hsx @ v
-        gy = dagger(v) @ hsy @ v
-        core = q.T * phi * (-1j * dt)
-        grad[k] = np.sum(core * gx).real * norm
-        grad[m + k] = np.sum(core * gy).real * norm
-    return fidelity, grad
+        # Tr(env A B dC) = sum(Q^T * phi * (-i dt V^dag dHs V)),
+        # Q = V^dag env A B V
+        q = dagger(v) @ (env @ ab) @ v
+        core = q.T * _expm_divided_differences(-dt * w) * (-1j * dt)
+        return [np.sum(core * (dagger(v) @ hs @ v)).real for hs in hs_controls]
+
+    return _sweep(steps, target, contract)
 
 
 def machnes_gradient(gen, pulses, target):
     """Trace fidelity under exact evolution with the first-order gradient.
 
-    The step derivative is approximated by ``-dt K(dH/dh) X_k``, which is
+    The step derivative is approximated by ``+dt K(dH/dh) X_k``, which is
     valid for ``dt`` well below the inverse generator norm; a warning is
     emitted when the sequence sits outside that regime.
     """
-    m = pulses.num_pulses
-    d2 = gen.dim * gen.dim
     dt = pulses.dt
-    norm = 1.0 / d2
-
-    if m == 0:
-        return float(np.vdot(target, np.eye(d2)).real) * norm, np.empty(0)
-
-    h_peak = max(float(np.max(np.abs(pulses.hx))), float(np.max(np.abs(pulses.hy))))
-    ok, bound = dt_validity_check(gen, h_peak, dt)
-    if not ok:
-        warnings.warn(
-            f"dt = {dt:.3e} exceeds a tenth of the validity bound {bound:.3e}; "
-            "the approximate gradient may be inaccurate",
-            stacklevel=2,
-        )
+    if pulses.num_pulses:
+        h_peak = float(np.max(np.abs(pulses.genome())))
+        ok, bound = dt_validity_check(gen, h_peak, dt)
+        if not ok:
+            warnings.warn(
+                f"dt = {dt:.3e} exceeds a tenth of the validity bound {bound:.3e}; "
+                "the approximate gradient may be inaccurate",
+                stacklevel=2,
+            )
 
     steps = _kernels.piecewise_steps(
         gen.base, gen.control_comms[0], gen.control_comms[1],
-        pulses.hx, pulses.hy, pulses.dt,
+        pulses.hx, pulses.hy, dt,
     )
+    control_ts = [k.T for k in gen.control_comms]
 
-    # fwd[k] includes interval k; back[k] = target^dag times intervals > k
-    fwd = np.empty((m, d2, d2), dtype=np.complex128)
-    fwd[0] = steps[0]
-    for k in range(1, m):
-        fwd[k] = steps[k] @ fwd[k - 1]
-    back = np.empty((m, d2, d2), dtype=np.complex128)
-    back[m - 1] = dagger(target)
-    for k in range(m - 2, -1, -1):
-        back[k] = back[k + 1] @ steps[k + 1]
+    def contract(k, env):
+        # Tr(env dt K X_k) = dt sum(K^T * (X_k env))
+        y = steps[k] @ env
+        return [dt * np.sum(kt * y).real for kt in control_ts]
 
-    fidelity = float(np.vdot(target, fwd[m - 1]).real) * norm
-
-    kxt = gen.control_comms[0].T.copy()
-    kyt = gen.control_comms[1].T.copy()
-    grad = np.empty(2 * m, dtype=np.float64)
-    for k in range(m):
-        y = fwd[k] @ back[k]
-        grad[k] = -dt * norm * np.sum(kxt * y).real
-        grad[m + k] = -dt * norm * np.sum(kyt * y).real
-    return fidelity, grad
+    return _sweep(steps, target, contract)
 
 
 def dt_validity_check(gen, h_max, dt):
@@ -397,25 +374,35 @@ def superop_fidelity(a, target, n_qubits):
     return float(np.vdot(target, a).real) / d2
 
 
-def _reduced_channel_columns(x, n_qubits, ancilla_sites):
-    """Images of all matrix units under the channel, ancilla traced out.
+def _ancilla_trace_map(n_qubits, ancilla_sites):
+    """Superoperator R of the partial trace over the ancilla, ``(d_t^2, d^2)``.
 
-    Row basis index i runs over the d^2 matrix units E_i = unres(e_i);
-    returns an (d^2, d_t, d_t) stack of reduced output matrices.
+    Column i is ``res`` of the reduced matrix unit ``Tr_anc unres(e_i)``.
     """
     d = 2**n_qubits
     ancilla = set(ancilla_sites)
     keep = [s for s in range(n_qubits) if s not in ancilla]
-    arr = np.ascontiguousarray(np.asarray(x, dtype=np.complex128).T).reshape(
-        (d * d,) + (2,) * (2 * n_qubits)
-    )
+    units = np.eye(d * d).reshape((d * d,) + (2,) * (2 * n_qubits))
     batch = 2 * n_qubits
     row_idx = list(range(n_qubits))
     col_idx = [s if s in ancilla else n_qubits + s for s in range(n_qubits)]
     out_idx = [batch] + keep + [n_qubits + s for s in keep]
-    reduced = np.einsum(arr, [batch] + row_idx + col_idx, out_idx)
-    d_keep = 2 ** len(keep)
-    return reduced.reshape(d * d, d_keep, d_keep)
+    reduced = np.einsum(units, [batch] + row_idx + col_idx, out_idx)
+    return reduced.reshape(d * d, 4 ** len(keep)).T
+
+
+def fitness_target(scenario):
+    """Target ``W`` with ``state_fitness(X) = superop_fidelity(X, W)``.
+
+    The state fitness sums ``Re Tr((U R e_i U^dag)^dag R X e_i)`` over all
+    matrix units, i.e. ``Re <R^dag (U kron conj(U)) R, X>``, normalized by
+    ``z`` instead of ``d^2``.  Without an ancilla ``W`` is the target
+    superoperator.
+    """
+    r = _ancilla_trace_map(scenario.num_qubits, scenario.ancilla_sites)
+    z = 2 ** (2 * len(scenario.target_sites) + len(scenario.ancilla_sites))
+    w = r.T @ unitary_superoperator(scenario.target_unitary) @ r
+    return w * (scenario.dim**2 / z)
 
 
 def state_fitness(channel, scenario):
@@ -423,23 +410,10 @@ def state_fitness(channel, scenario):
     units of the full register, the ancilla traced out after evolution.
 
     Normalized so any channel of the form ``rho -> (U_T kron W) rho
-    (U_T kron W)^dag`` with unitary W on the ancilla scores exactly 1.
+    (U_T kron W)^dag`` with unitary W on the ancilla scores exactly 1.  The
+    fitness is linear in the channel: see :func:`fitness_target`.
     """
-    d = scenario.dim
-    channel = np.asarray(channel, dtype=np.complex128)
-    if channel.shape != (d * d, d * d):
-        raise ValueError(
-            f"channel has shape {channel.shape}, expected {(d * d, d * d)}"
-        )
-    n = scenario.num_qubits
-    reduced = _reduced_channel_columns(channel, n, scenario.ancilla_sites)
-    reduced_in = _reduced_channel_columns(
-        np.eye(d * d, dtype=np.complex128), n, scenario.ancilla_sites
-    )
-    u = scenario.target_unitary
-    targets = u @ reduced_in @ dagger(u)
-    z = 2 ** (2 * len(scenario.target_sites) + len(scenario.ancilla_sites))
-    return float(np.sum(np.conj(targets) * reduced).real) / z
+    return superop_fidelity(channel, fitness_target(scenario), scenario.num_qubits)
 
 
 def propagate_state(propagator, rho):

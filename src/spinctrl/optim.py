@@ -34,11 +34,6 @@ class Objective:
 
     evaluate: Callable[[np.ndarray], float]
     evaluate_with_gradient: Optional[Callable] = None
-    direction: str = "maximize"
-
-    def __post_init__(self):
-        if self.direction != "maximize":
-            raise ValueError("only maximization objectives are supported")
 
 
 @dataclass(frozen=True)

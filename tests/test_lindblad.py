@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,8 +14,11 @@ from spinctrl.lindblad import (
     assemble_hamiltonian_super,
     build_generator,
     dt_validity_check,
+    fitness_target,
+    machnes_gradient,
     propagate_state,
     split_factors,
+    split_gradient,
     split_propagator,
     state_fitness,
     step_propagator_exact,
@@ -24,6 +29,7 @@ from spinctrl.lindblad import (
 )
 from spinctrl.linalg import dagger, kron, partial_trace, res, unres
 from spinctrl.model import NoiseSpec, Scenario, SpinSystem, pauli, scenario_catalog
+from spinctrl.optim import Bounds, Objective, lbfgs_b_maximize
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -455,3 +461,115 @@ class TestTargetSuperoperator:
         for scenario in scenario_catalog():
             a_t = target_superoperator(scenario)
             assert abs(superop_fidelity(a_t, a_t, scenario.num_qubits) - 1) < 1e-12
+
+
+class TestFitnessTarget:
+    def test_equals_target_superoperator_without_ancilla(self):
+        for scenario in scenario_catalog():
+            if not scenario.ancilla_sites:
+                assert np.array_equal(
+                    fitness_target(scenario), target_superoperator(scenario)
+                )
+
+
+def scenario_b():
+    return next(s for s in scenario_catalog() if s.id == "b")
+
+
+def central_differences(f, x, eps=1e-5):
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = eps
+        grad[i] = (f(x + step) - f(x - step)) / (2 * eps)
+    return grad
+
+
+def relative_error(grad, reference):
+    return np.linalg.norm(grad - reference) / np.linalg.norm(reference)
+
+
+class TestGradients:
+    """Both gradients against central differences of the fidelity they
+    approximate, on a 2-qubit chain with amplitude damping on every site."""
+
+    DT = 0.005
+
+    @pytest.fixture
+    def problem(self, rng):
+        gen = build_generator(
+            SpinSystem.chain(2), 0, NoiseSpec.on_all_sites("amplitude_damping", 0.05, 2)
+        )
+        return gen, rng.uniform(-1, 1, 2 * 64), target_superoperator(scenario_b())
+
+    def pulses(self, x):
+        return PulseSequence.from_genome(x, self.DT)
+
+    def test_split_gradient(self, problem):
+        gen, x, target = problem
+        f, grad = split_gradient(gen, self.pulses(x), target)
+        fidelity = lambda y: superop_fidelity(
+            split_propagator(gen, self.pulses(y)), target, 2
+        )
+        assert f == pytest.approx(fidelity(x), abs=1e-14)
+        assert relative_error(grad, central_differences(fidelity, x)) < 1e-6
+
+    def test_machnes_gradient_first_order(self, problem):
+        gen, x, target = problem
+        assert dt_validity_check(gen, np.max(np.abs(x)), self.DT)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, grad = machnes_gradient(gen, self.pulses(x), target)
+        fidelity = lambda y: superop_fidelity(
+            total_propagator_exact(gen, self.pulses(y)), target, 2
+        )
+        assert f == pytest.approx(fidelity(x), abs=1e-14)
+        # first order in dt: 2e-3 here, 2.0 with the sign of the derivative flipped
+        assert relative_error(grad, central_differences(fidelity, x)) < 1e-2
+
+    def test_split_gradient_of_state_fitness(self, rng):
+        scenario = scenario_catalog()[0]
+        gen = build_generator(
+            scenario.system,
+            scenario.control_site,
+            NoiseSpec.on_all_sites("phase_damping", 0.1, scenario.num_qubits),
+        )
+        dt = scenario.total_time / scenario.num_pulses
+        x = rng.uniform(-5, 5, 2 * scenario.num_pulses)
+        fitness = lambda y: state_fitness(
+            split_propagator(gen, PulseSequence.from_genome(y, dt)), scenario
+        )
+        f, grad = split_gradient(
+            gen, PulseSequence.from_genome(x, dt), fitness_target(scenario)
+        )
+        assert f == pytest.approx(fitness(x), abs=1e-14)
+        assert relative_error(grad, central_differences(fitness, x)) < 1e-6
+
+    @pytest.mark.parametrize("gradient", [split_gradient, machnes_gradient])
+    def test_empty_sequence(self, gradient, rng):
+        gen = build_generator(SpinSystem.chain(2), 0, None)
+        target = unitary_superoperator(random_unitary(rng, 4))
+        f, grad = gradient(gen, PulseSequence([], [], 0.1), target)
+        assert f == superop_fidelity(np.eye(16), target, 2) != 0
+        assert grad.shape == (0,)
+
+    def test_lbfgs_reaches_state_fitness_floor(self, rng):
+        # noiseless (a): split propagation is exact, and the state fitness
+        # leaves the ancilla free
+        scenario = scenario_catalog()[0]
+        gen = build_generator(scenario.system, scenario.control_site, None)
+        dt = scenario.total_time / scenario.num_pulses
+        target = fitness_target(scenario)
+
+        def with_gradient(x):
+            return split_gradient(gen, PulseSequence.from_genome(x, dt), target)
+
+        objective = Objective(
+            evaluate=lambda x: with_gradient(x)[0], evaluate_with_gradient=with_gradient
+        )
+        start = rng.uniform(-10, 10, 2 * scenario.num_pulses)
+        _, score, _ = lbfgs_b_maximize(
+            objective, Bounds(-scenario.h_max, scenario.h_max), start, max_iters=40
+        )
+        assert objective.evaluate(start) < 0.5
+        assert score > 0.95

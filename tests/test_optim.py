@@ -1,0 +1,105 @@
+import numpy as np
+import pytest
+
+from spinctrl.optim import (
+    Bounds,
+    GaConfig,
+    Objective,
+    crossover_two_point,
+    ga_maximize,
+    lbfgs_b_maximize,
+    mutate,
+)
+
+
+def quadratic_objective(weights, center):
+    def with_gradient(x):
+        diff = x - center
+        return -float(np.sum(weights * diff**2)), -2.0 * weights * diff
+
+    return Objective(
+        evaluate=lambda x: with_gradient(x)[0], evaluate_with_gradient=with_gradient
+    )
+
+
+def sphere(x):
+    return -float(np.sum(np.asarray(x) ** 2))
+
+
+class TestLbfgs:
+    def test_concave_quadratic_with_active_bound(self, rng):
+        weights = rng.uniform(0.5, 5.0, 6)
+        center = np.array([0.3, -0.7, 2.5, -4.0, 0.0, 1.5])
+        bounds = Bounds(-1.0, 1.0)
+        x, score, _ = lbfgs_b_maximize(
+            quadratic_objective(weights, center), bounds, rng.uniform(-1, 1, 6)
+        )
+        optimum = bounds.clip(center)
+        assert np.max(np.abs(x - optimum)) < 1e-6
+        assert score == pytest.approx(-np.sum(weights * (optimum - center) ** 2))
+        assert np.all(np.abs(x) <= 1.0)
+
+
+def run_ga(cfg, calls=None):
+    def evaluate(x):
+        if calls is not None:
+            calls.append(np.array(x))
+        return sphere(x)
+
+    return ga_maximize(Objective(evaluate=evaluate), Bounds(-2.0, 2.0), 3, cfg)
+
+
+class TestGa:
+    CONFIG = GaConfig(population_size=8, generations=4, seed=7)
+
+    def test_pure_function_of_seed(self):
+        genome, score, history = run_ga(self.CONFIG)
+        again = run_ga(self.CONFIG)
+        assert np.array_equal(genome, again[0])
+        assert score == again[1] and history == again[2]
+        other = run_ga(GaConfig(population_size=8, generations=4, seed=8))
+        assert not np.array_equal(genome, other[0])
+
+    def test_elites_survive_unchanged(self):
+        calls = []
+        cfg = self.CONFIG
+        run_ga(cfg, calls)
+        size = cfg.population_size
+        for gen in range(cfg.generations - 1):
+            population = calls[gen * size:(gen + 1) * size]
+            fits = [sphere(x) for x in population]
+            order = sorted(range(size), key=lambda i: (-fits[i], i))
+            survivors = calls[(gen + 1) * size:(gen + 1) * size + cfg.elitism]
+            for i, survivor in zip(order, survivors):
+                assert np.array_equal(population[i], survivor)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_mutate_consumes_two_draws_per_gene(self, p):
+        bounds = Bounds(-2.0, 2.0)
+        genome = np.linspace(-1.0, 1.0, 9)
+        rng = np.random.default_rng(3)
+        child = mutate(genome, p, rng, bounds)
+        expected = np.random.default_rng(3)
+        expected.random(genome.size)
+        bounds.uniform(expected, genome.size)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        if p == 1.0:
+            assert np.array_equal(child, genome)
+        assert np.all((child >= -2.0) & (child <= 2.0))
+
+    def test_crossover_swaps_strict_interior(self):
+        n = 6
+        x = np.arange(n, dtype=float)
+        y = -1.0 - x
+        lengths = set()
+        for seed in range(200):
+            first, second = crossover_two_point(x, y, np.random.default_rng(seed))
+            swapped = np.flatnonzero(first != x)
+            assert np.array_equal(first[swapped], y[swapped])
+            assert np.array_equal(second, np.where(first == x, y, x))
+            if swapped.size:
+                # one contiguous run that never reaches either end
+                assert np.array_equal(swapped, np.arange(swapped[0], swapped[-1] + 1))
+                assert swapped[0] >= 1 and swapped[-1] <= n - 2
+            lengths.add(swapped.size)
+        assert lengths == set(range(n - 1))
