@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ __all__ = [
 class PulseSequence:
     """Piecewise-constant control amplitudes: M intervals of length dt.
 
-    Empty sequences are allowed and act as the identity propagator.
+    Empty sequences are allowed and act as the identity propagator.  The
+    amplitudes and dt must be finite.
     """
 
     hx: np.ndarray
@@ -62,8 +64,14 @@ class PulseSequence:
         hy = np.atleast_1d(np.asarray(self.hy, dtype=np.float64))
         if hx.ndim != 1 or hy.ndim != 1 or hx.shape != hy.shape:
             raise ValueError("hx and hy must be 1-D arrays of equal length")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        # a NaN or an infinity anywhere makes the dot product non-finite;
+        # only then is each field checked, which also lets a finite overflow pass
+        if not math.isfinite(hx @ hy):
+            for name, h in (("hx", hx), ("hy", hy)):
+                if not np.isfinite(h).all():
+                    raise ValueError(f"{name} must be finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
         object.__setattr__(self, "hx", hx)
         object.__setattr__(self, "hy", hy)
         object.__setattr__(self, "dt", float(self.dt))
@@ -93,7 +101,9 @@ class PulseSequence:
 class Generator:
     """Assembled Lindbladian pieces for one system + noise configuration.
 
-    The dissipator is kept as its two split-method exponents: the jump part
+    ``drift`` and ``controls`` are the d x d Hamiltonians, ``drift_comm``
+    and ``control_comms`` their commutator superoperators ``K(H)``.  The
+    dissipator is kept as its two split-method exponents: the jump part
     ``sum gamma L kron conj(L)`` and the decay part, the anticommutator half.
     """
 
@@ -102,6 +112,8 @@ class Generator:
     dim: int
     jump_part: np.ndarray
     decay_part: np.ndarray
+    drift: np.ndarray
+    controls: tuple
 
     @property
     def base(self):
@@ -167,6 +179,8 @@ def build_generator(system, control_site, noise=None):
         dim=system.dim,
         jump_part=jump,
         decay_part=decay,
+        drift=h0,
+        controls=(sx, sy),
     )
 
 
@@ -214,7 +228,12 @@ def split_factors(gen, hx, hy, dt):
     """Per-interval splitting factors (decay, jump, coherent).
 
     The product ``A @ B @ C`` approximates the exact step to O(dt^2); only
-    the coherent factor C depends on the controls.
+    the coherent factor C depends on the controls.  This is the dense
+    per-interval reference: C is the kernels' Pade ``expm`` of the
+    ``(d^2, d^2)`` commutator generator, so it is bit for bit the kernel
+    backend's ``expm(dt F)`` of a noiseless generator.  :func:`split_propagator`
+    and :func:`split_gradient` instead apply C as ``U kron conj(U)``, from
+    the d x d unitary ``U = exp(-i dt H)``, without forming it.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -225,73 +244,94 @@ def split_factors(gen, hx, hy, dt):
     return a, b, c
 
 
-def _split_steps(gen, pulses):
-    """Split steps ``A B C_k`` with the eigensystems of their coherent factors.
+def _coherent_unitaries(gen, pulses):
+    """Interval unitaries ``U_k = exp(-i dt H_k)`` from one batched ``eigh``
+    of the ``(M, d, d)`` stack of Hamiltonians.
 
-    ``K(H) = -i Hs`` with ``Hs = H kron I - I kron conj(H)`` Hermitian, so
-    the coherent factor ``C_k = V exp(-i dt w) V^dag`` and its exact control
-    derivative both come from the spectrum ``(w, V)`` of Hs at interval k.
-    Returns ``(steps, A B, [(w, V) per interval])``.
+    Returns ``(U, w, V, V^dag)``: ``H_k = V_k diag(w_k) V_k^dag`` and ``U_k =
+    V_k exp(-i dt w_k) V_k^dag``.
     """
-    d2 = gen.dim * gen.dim
-    dt = pulses.dt
-    a, b = _noise_factors(gen, dt)
-    ab = a @ b
-    kx, ky = gen.control_comms
-    steps = np.empty((pulses.num_pulses, d2, d2), dtype=np.complex128)
-    eigs = []
-    for k, (hx, hy) in enumerate(zip(pulses.hx, pulses.hy)):
-        w, v = np.linalg.eigh(1j * (gen.drift_comm + hx * kx + hy * ky))
-        steps[k] = ab @ ((v * np.exp(-1j * dt * w)) @ dagger(v))
-        eigs.append((w, v))
-    return steps, ab, eigs
+    hx = pulses.hx[:, None, None]
+    hy = pulses.hy[:, None, None]
+    w, v = np.linalg.eigh(gen.drift + hx * gen.controls[0] + hy * gen.controls[1])
+    vh = np.conj(v).swapaxes(-1, -2)
+    return (v * np.exp(-1j * pulses.dt * w)[:, None, :]) @ vh, w, v, vh
+
+
+def _kron_conj_left(u, x):
+    """``(u kron conj(u)) @ x`` as two d x d contractions, O(d^5)."""
+    d = u.shape[0]
+    y = (u @ x.reshape(d, -1)).reshape(d, d, -1)
+    return (np.conj(u) @ y).reshape(x.shape)
+
+
+def _kron_conj_right(x, u):
+    """``x @ (u kron conj(u))``, the transpose of :func:`_kron_conj_left`."""
+    return _kron_conj_left(u.T, x.T).T
 
 
 def split_propagator(gen, pulses):
-    """Product of per-interval splitting factors, interval 0 first."""
-    steps, _, _ = _split_steps(gen, pulses)
-    return _kernels.chain_product(steps)
+    """Product of per-interval splitting factors, interval 0 first.
 
-
-def _sweep(steps, target, contract):
-    """Trace fidelity of the chain ``steps[-1] @ ... @ steps[0]`` and its
-    gradient.
-
-    With ``fwd_k`` the product of the steps before interval k and
-    ``back_k`` the product ``target^dag`` times the steps after it, the
-    fidelity is ``Re Tr(env S_k) / d^2`` for ``env = fwd_k @ back_k``.
-    ``contract(k, env)`` returns ``Re Tr(env dS_k/dhx)`` and ``Re Tr(env
-    dS_k/dhy)``.  The forward products are stored; the backward product is
-    one running matrix.  Returns ``(f, grad)`` with ``grad[:M]`` the hx
-    derivatives and ``grad[M:]`` the hy derivatives.
+    Step k is ``A B (U_k kron conj(U_k))``; the coherent factor is applied
+    by contraction and never formed.
     """
-    m, d2 = steps.shape[0], steps.shape[-1]
+    a, b = _noise_factors(gen, pulses.dt)
+    ab = a @ b
+    total = np.eye(gen.dim * gen.dim, dtype=np.complex128)
+    for u in _coherent_unitaries(gen, pulses)[0]:
+        total = ab @ _kron_conj_left(u, total)
+    return total
+
+
+def _sweep(target, num_steps, fixed, left, right, contract):
+    """Trace fidelity of the chain ``S_{M-1} ... S_0`` and its gradient.
+
+    Step k is ``S_k = fixed @ P_k``: ``fixed`` is a control-independent
+    factor, or None for none, and ``left(k, x)`` and ``right(k, x)`` return
+    ``P_k @ x`` and ``x @ P_k``.  With ``fwd_k`` the product of the steps
+    before interval k and ``back_k`` the product ``target^dag`` times the
+    steps after it, the fidelity is ``Re Tr(env P_k) / d^2`` for ``env =
+    fwd_k @ back_k @ fixed``.  ``contract(k, env)`` returns ``Re Tr(env
+    dP_k/dhx)`` and ``Re Tr(env dP_k/dhy)``.  The forward products are
+    stored; the backward product, ``fixed`` folded in, is one running
+    matrix.  Returns ``(f, grad)`` with ``grad[:M]`` the hx derivatives and
+    ``grad[M:]`` the hy derivatives.
+    """
+    target = np.asarray(target, dtype=np.complex128)
+    m, d2 = num_steps, target.shape[-1]
     norm = 1.0 / d2
-    fwd = np.empty_like(steps)
+    fwd = np.empty((m, d2, d2), dtype=np.complex128)
     total = np.eye(d2, dtype=np.complex128)
     for k in range(m):
         fwd[k] = total
-        total = steps[k] @ total
+        total = left(k, total)
+        if fixed is not None:
+            total = fixed @ total
     fidelity = float(np.vdot(target, total).real) * norm
 
     grad = np.empty(2 * m, dtype=np.float64)
     back = dagger(target)
+    if fixed is not None:
+        back = back @ fixed
     for k in range(m - 1, -1, -1):
         grad[k], grad[m + k] = contract(k, fwd[k] @ back)
         if k:
-            back = back @ steps[k]
+            back = right(k, back)
+            if fixed is not None:
+                back = back @ fixed
     return fidelity, grad * norm
 
 
 def _expm_divided_differences(theta):
-    """Divided-difference table of exp at the points ``i * theta``.
+    """Divided-difference tables of exp at the points ``i * theta``.
 
-    Entry (p, q) is ``(e^{i theta_p} - e^{i theta_q}) / (i (theta_p -
-    theta_q))`` with the diagonal limit; evaluated in the stable
-    product form ``e^{i mean} sinc(delta / 2)``.
+    ``theta`` is (..., n); entry (..., p, q) is ``(e^{i theta_p} - e^{i
+    theta_q}) / (i (theta_p - theta_q))`` with the diagonal limit, evaluated
+    in the stable product form ``e^{i mean} sinc(delta / 2)``.
     """
-    mean = 0.5 * (theta[:, None] + theta[None, :])
-    delta = 0.5 * (theta[:, None] - theta[None, :])
+    mean = 0.5 * (theta[..., :, None] + theta[..., None, :])
+    delta = 0.5 * (theta[..., :, None] - theta[..., None, :])
     return np.exp(1j * mean) * np.sinc(delta / np.pi)
 
 
@@ -300,22 +340,39 @@ def split_gradient(gen, pulses, target):
 
     Returns ``(f, grad)`` with ``grad[:M]`` the hx derivatives and
     ``grad[M:]`` the hy derivatives.  The only approximation relative to
-    exact evolution is the splitting itself: the coherent factor is
-    differentiated exactly through its eigendecomposition.
+    exact evolution is the splitting itself: the coherent factor ``U_k kron
+    conj(U_k)`` is differentiated exactly through the eigendecomposition of
+    the d x d Hamiltonian ``H_k``.
     """
-    dt = pulses.dt
-    steps, ab, eigs = _split_steps(gen, pulses)
-    hs_controls = [1j * k for k in gen.control_comms]
+    d, dt = gen.dim, pulses.dt
+    m, d2 = pulses.num_pulses, d * d
+    a, b = _noise_factors(gen, dt)
+    u, w, v, vh = _coherent_unitaries(gen, pulses)
+    # dU_k = V ((V^dag dH V) * phi) V^dag, phi the divided differences of
+    # exp(-i dt x) at the eigenvalues of H_k
+    phi = -1j * dt * _expm_divided_differences(-dt * w)
+    du = np.stack([v @ ((vh @ h @ v) * phi) @ vh for h in gen.controls])
+    u_vec = u.reshape(m, d2)
+    u_bar_t = np.conj(u).swapaxes(-1, -2).reshape(m, d2)
+    du_vec = du.reshape(2, m, d2)
+    du_bar_t = np.conj(du).swapaxes(-1, -2).reshape(2, m, d2)
 
     def contract(k, env):
-        w, v = eigs[k]
-        # Tr(env A B dC) = sum(Q^T * phi * (-i dt V^dag dHs V)),
-        # Q = V^dag env A B V
-        q = dagger(v) @ (env @ ab) @ v
-        core = q.T * _expm_divided_differences(-dt * w) * (-1j * dt)
-        return [np.sum(core * (dagger(v) @ hs @ v)).real for hs in hs_controls]
+        # Tr(env dC) for dC = dU kron conj(U) + U kron conj(dU), with
+        # e[(c, a), (b, d)] = env[(a, b), (c, d)]: the first half is
+        # sum(dU * P), vec(P) = e @ vec(conj(U)^T), the second
+        # sum(conj(dU)^T * Q), vec(Q) = vec(U) @ e.
+        e = env.reshape(d, d, d, d).transpose(2, 0, 1, 3).reshape(d2, d2)
+        return (du_vec[:, k] @ (e @ u_bar_t[k]) + du_bar_t[:, k] @ (u_vec[k] @ e)).real
 
-    return _sweep(steps, target, contract)
+    return _sweep(
+        target,
+        m,
+        a @ b,
+        lambda k, x: _kron_conj_left(u[k], x),
+        lambda k, x: _kron_conj_right(x, u[k]),
+        contract,
+    )
 
 
 def machnes_gradient(gen, pulses, target):
@@ -347,7 +404,14 @@ def machnes_gradient(gen, pulses, target):
         y = steps[k] @ env
         return [dt * np.sum(kt * y).real for kt in control_ts]
 
-    return _sweep(steps, target, contract)
+    return _sweep(
+        target,
+        pulses.num_pulses,
+        None,
+        lambda k, x: steps[k] @ x,
+        lambda k, x: x @ steps[k],
+        contract,
+    )
 
 
 def dt_validity_check(gen, h_max, dt):
@@ -391,18 +455,27 @@ def _ancilla_trace_map(n_qubits, ancilla_sites):
     return reduced.reshape(d * d, 4 ** len(keep)).T
 
 
+_FITNESS_TARGETS = weakref.WeakKeyDictionary()
+
+
 def fitness_target(scenario):
     """Target ``W`` with ``state_fitness(X) = superop_fidelity(X, W)``.
 
     The state fitness sums ``Re Tr((U R e_i U^dag)^dag R X e_i)`` over all
     matrix units, i.e. ``Re <R^dag (U kron conj(U)) R, X>``, normalized by
     ``z`` instead of ``d^2``.  Without an ancilla ``W`` is the target
-    superoperator.
+    superoperator.  ``W`` is built once per scenario and returned
+    read-only; a scenario is immutable and hashes by identity.
     """
-    r = _ancilla_trace_map(scenario.num_qubits, scenario.ancilla_sites)
-    z = 2 ** (2 * len(scenario.target_sites) + len(scenario.ancilla_sites))
-    w = r.T @ unitary_superoperator(scenario.target_unitary) @ r
-    return w * (scenario.dim**2 / z)
+    w = _FITNESS_TARGETS.get(scenario)
+    if w is None:
+        r = _ancilla_trace_map(scenario.num_qubits, scenario.ancilla_sites)
+        z = 2 ** (2 * len(scenario.target_sites) + len(scenario.ancilla_sites))
+        w = r.T @ unitary_superoperator(scenario.target_unitary) @ r
+        w *= scenario.dim**2 / z
+        w.flags.writeable = False
+        _FITNESS_TARGETS[scenario] = w
+    return w
 
 
 def state_fitness(channel, scenario):

@@ -173,7 +173,12 @@ def build_collapse_ops(system, noise):
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One benchmark configuration: system, control site, target and split
-    into target and ancilla subsystems."""
+    into target and ancilla subsystems.
+
+    ``target_unitary`` is kept as a read-only copy, so values derived from a
+    scenario, such as :func:`spinctrl.lindblad.fitness_target`, can be
+    cached on it.
+    """
 
     id: str
     system: SpinSystem
@@ -202,7 +207,8 @@ class Scenario:
         if not 0 <= self.control_site < n:
             raise ValueError("control site out of range")
 
-        u = np.asarray(self.target_unitary, dtype=np.complex128)
+        u = np.array(self.target_unitary, dtype=np.complex128)
+        u.flags.writeable = False
         object.__setattr__(self, "target_unitary", u)
         d_target = 2 ** len(target_sites)
         if u.shape != (d_target, d_target):

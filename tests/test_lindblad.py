@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,6 +66,26 @@ class TestPulseSequence:
     def test_empty_sequence_allowed(self):
         p = PulseSequence(np.empty(0), np.empty(0), 0.1)
         assert p.num_pulses == 0 and p.duration == 0.0
+
+    @pytest.mark.parametrize("field", ["hx", "hy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_amplitudes(self, field, value):
+        h = {"hx": [1.0, 2.0], "hy": [3.0, 4.0]}
+        h[field][0] = value
+        with pytest.raises(ValueError, match=field):
+            PulseSequence(h["hx"], h["hy"], 0.1)
+        with pytest.raises(ValueError, match=field):
+            PulseSequence.from_genome(h["hx"] + h["hy"], 0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_accepts_finite_amplitudes_whose_product_overflows(self):
+        p = PulseSequence([1e200, 0.0], [1e200, 1.0], 0.1)
+        assert p.hx[0] == 1e200
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            PulseSequence([1.0], [1.0], dt)
 
 
 class TestDissipator:
@@ -308,6 +329,106 @@ class TestSplit:
         assert 1.7 < errs[1] / errs[2] < 2.4
 
 
+def dense_split_chain(gen, pulses, target):
+    """Propagator, fidelity and gradient of the split chain from the dense
+    per-interval factors, each coherent derivative from SciPy's Frechet
+    derivative of expm."""
+    dt, m = pulses.dt, pulses.num_pulses
+    d2 = gen.dim * gen.dim
+
+    def chain(steps):
+        total = np.eye(d2, dtype=complex)
+        for s in steps:
+            total = s @ total
+        return total
+
+    steps, dsteps = [], []
+    for hx, hy in zip(pulses.hx, pulses.hy):
+        a, b, c = split_factors(gen, hx, hy, dt)
+        coherent = dt * (gen.drift_comm + hx * gen.control_comms[0] + hy * gen.control_comms[1])
+        steps.append(a @ b @ c)
+        dsteps.append(
+            [a @ b @ scipy.linalg.expm_frechet(coherent, dt * k, compute_expm=False)
+             for k in gen.control_comms]
+        )
+    grad = np.empty(2 * m)
+    for k in range(m):
+        for c, ds in enumerate(dsteps[k]):
+            step_derivative = chain(steps[k + 1:]) @ ds @ chain(steps[:k])
+            grad[c * m + k] = np.vdot(target, step_derivative).real / d2
+    total = chain(steps)
+    return total, np.vdot(target, total).real / d2, grad
+
+
+class TestSplitKronecker:
+    """The split path applies ``U kron conj(U)`` by contraction; checked
+    against the dense chain of :func:`split_factors`."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_contraction_helpers(self, d, rng):
+        u = random_unitary(rng, d)
+        x = random_complex(rng, (d * d, d * d))
+        c = kron(u, np.conj(u))
+        assert np.max(np.abs(lindblad._kron_conj_left(u, x) - c @ x)) < 1e-12
+        assert np.max(np.abs(lindblad._kron_conj_right(x, u) - x @ c)) < 1e-12
+
+    def check_against_dense(self, gen, pulses, target):
+        total, f, grad = dense_split_chain(gen, pulses, target)
+        assert np.max(np.abs(split_propagator(gen, pulses) - total)) < 1e-12
+        got_f, got_grad = split_gradient(gen, pulses, target)
+        assert abs(got_f - f) < 1e-12
+        assert np.max(np.abs(got_grad - grad)) < 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("h_max", [5.0, 100.0])
+    def test_three_qubit_chain_with_amplitude_damping(self, h_max, rng):
+        gen = build_generator(
+            SpinSystem.chain(3), 1, NoiseSpec.on_all_sites("amplitude_damping", 0.1, 3)
+        )
+        target = unitary_superoperator(random_unitary(rng, 8))
+        self.check_against_dense(gen, random_pulses(rng, 6, 2.1 / 128, h_max), target)
+
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
+    def test_scenario_a_state_fitness(self, kind, rng):
+        scenario = scenario_catalog()[0]
+        gen = build_generator(
+            scenario.system,
+            scenario.control_site,
+            NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits),
+        )
+        pulses = random_pulses(
+            rng,
+            scenario.num_pulses,
+            scenario.total_time / scenario.num_pulses,
+            scenario.h_max,
+        )
+        self.check_against_dense(gen, pulses, fitness_target(scenario))
+
+    def test_gradient_memory(self, rng):
+        # scenario (d), M = 128: the forward products are the one
+        # (M, d^2, d^2) array, 8 MiB
+        scenario = scenario_catalog()[3]
+        gen = build_generator(
+            scenario.system,
+            scenario.control_site,
+            NoiseSpec.on_all_sites("amplitude_damping", 0.1, scenario.num_qubits),
+        )
+        pulses = random_pulses(
+            rng,
+            scenario.num_pulses,
+            scenario.total_time / scenario.num_pulses,
+            scenario.h_max,
+        )
+        target = target_superoperator(scenario)
+        split_gradient(gen, pulses, target)
+        tracemalloc.start()
+        try:
+            split_gradient(gen, pulses, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
 class TestValidityCheck:
     def test_zero_generator_unbounded(self):
         gen = single_qubit_generator()
@@ -470,6 +591,18 @@ class TestFitnessTarget:
                 assert np.array_equal(
                     fitness_target(scenario), target_superoperator(scenario)
                 )
+
+    def test_built_once_per_scenario_and_read_only(self):
+        scenario = scenario_catalog()[0]
+        w = fitness_target(scenario)
+        assert fitness_target(scenario) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+        # an equal but distinct scenario gets its own, equal W
+        other = scenario_catalog()[0]
+        assert fitness_target(other) is not w
+        assert np.array_equal(fitness_target(other), w)
 
 
 def scenario_b():

@@ -277,6 +277,23 @@ class TestScenarioValidation:
                 h_max=1.0,
             )
 
+    def test_target_is_a_read_only_copy(self):
+        u = model.pauli("x")
+        scenario = Scenario(
+            "x",
+            SpinSystem.chain(2),
+            0,
+            u,
+            ancilla_sites=(0,),
+            num_pulses=1,
+            total_time=1.0,
+            h_max=1.0,
+        )
+        u[0, 0] = 1.0
+        assert np.array_equal(scenario.target_unitary, model.pauli("x"))
+        with pytest.raises(ValueError):
+            scenario.target_unitary[0, 0] = 1.0
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
