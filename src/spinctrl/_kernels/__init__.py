@@ -1,7 +1,9 @@
-"""Hot-path kernels with a compiled core and a NumPy fallback.
+"""Hot-path kernels with a compiled core and a NumPy/SciPy fallback.
 
-The Cython extension is used when it can be imported, the NumPy kernels
-otherwise; ``BACKEND`` names the one in use.
+The Cython extension is used when it can be imported, the fallback
+otherwise; ``BACKEND`` names the one in use.  The fallback's ``expm`` is
+``scipy.linalg.expm``; the compiled core is the package's only hand-written
+numerical kernel.
 
 Build the compiled core in place with ``python setup.py build_ext --inplace``.
 This needs a C compiler and the Python headers but neither Cython nor a
@@ -18,14 +20,12 @@ except ImportError:
     BACKEND = "numpy"
 
 expm = _impl.expm
-chain_product = _impl.chain_product
 piecewise_steps = _impl.piecewise_steps
 piecewise_total = _impl.piecewise_total
 
 __all__ = [
     "BACKEND",
     "expm",
-    "chain_product",
     "piecewise_steps",
     "piecewise_total",
 ]

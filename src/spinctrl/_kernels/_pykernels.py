@@ -1,85 +1,19 @@
-"""Pure-NumPy implementations of the propagation hot kernels.
+"""NumPy and SciPy implementations of the propagation hot kernels.
 
 This module mirrors the API of the compiled core (``_cykernels``) and is
-used as a fallback when the extension is not built.  All matrices are dense
-complex128 and row-major.
+used as a fallback when the extension is not built.  ``expm`` is SciPy's
+scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+(2009)).  All matrices are dense complex128 and row-major.
 """
 
 import numpy as np
-
-# Pade order-13 numerator coefficients (Higham 2005, Table 10.3 choice).
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def _one_norm(a):
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=0)))
+import scipy.linalg
 
 
 def expm(a):
-    """Matrix exponential via Pade order-13 scaling and squaring.
+    """Matrix exponential of a square matrix; the input is not modified."""
+    return scipy.linalg.expm(np.asarray(a, dtype=np.complex128))
 
-    The scaling power is selected from the 1-norm of the input so that the
-    scaled matrix lands inside the order-13 accuracy region.
-    """
-    a = np.array(a, dtype=np.complex128, order="C")
-    n = a.shape[0]
-    norm = _one_norm(a)
-    s = 0
-    if norm > _THETA13:
-        s = int(np.ceil(np.log2(norm / _THETA13)))
-        a *= 0.5**s
-
-    b = _PADE13
-    ident = np.eye(n, dtype=np.complex128)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-def chain_product(mats):
-    """Ordered product ``mats[-1] @ ... @ mats[0]`` (index 0 applied first)."""
-    mats = np.asarray(mats, dtype=np.complex128)
-    n = mats.shape[-1]
-    total = np.eye(n, dtype=np.complex128)
-    for m in mats:
-        total = m @ total
-    return total
 
 def piecewise_steps(base, kx, ky, hx, hy, dt):
     """Per-interval propagators ``expm(dt * (base + hx[k] kx + hy[k] ky))``.

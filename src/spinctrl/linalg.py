@@ -20,7 +20,6 @@ __all__ = [
     "res",
     "unres",
     "partial_trace",
-    "spectral_norm_upper",
     "dagger",
     "is_hermitian",
 ]
@@ -58,10 +57,11 @@ def kron(a, b):
 
 
 def expm(m):
-    """Matrix exponential (Pade order-13 scaling and squaring).
+    """Matrix exponential through the selected kernel backend.
 
-    Dispatches to the selected kernel backend; safe up to 1-norms of about
-    1e4, which covers every generator built in this package.
+    The compiled core uses Pade order-13 scaling and squaring, safe up to
+    1-norms of about 1e4, which covers every generator built in this
+    package; the fallback calls ``scipy.linalg.expm``.
     """
     return _kernels.expm(_as_square(m))
 
@@ -106,43 +106,3 @@ def partial_trace(m, dims, keep):
     reduced = np.einsum(tensor, in_idx, out_idx)
     d_keep = math.prod(dims[i] for i in keep)
     return reduced.reshape(d_keep, d_keep)
-
-
-def spectral_norm_upper(m, rtol=1e-3, max_squarings=6):
-    """Upper bound on the spectral norm ``||m||_2``.
-
-    Refines the certified bound ``lambda_max(m^H m)^(1/2) <=
-    ||(m^H m)^k||_1^(1/(2k))`` by repeated squaring (a matrix-level power
-    iteration), seeded with ``sqrt(||m||_1 ||m||_inf)`` and the Frobenius
-    norm.  Every intermediate is a true upper bound, so the returned value
-    is always >= the exact norm; for generic spectra it is tight to about
-    ``rtol``.
-    """
-    m = _as_square(m)
-    if m.size == 0:
-        return 0.0
-    norm1 = float(np.max(np.sum(np.abs(m), axis=0)))
-    if norm1 == 0.0:
-        return 0.0
-    norminf = float(np.max(np.sum(np.abs(m), axis=1)))
-    best = min(math.sqrt(norm1 * norminf), float(np.linalg.norm(m)))
-
-    # b tracks (m^H m)^k up to the accumulated scale exp(log_scale)
-    b = dagger(m) @ m
-    log_scale = 0.0
-    k = 1
-    prev = math.inf
-    for _ in range(max_squarings + 1):
-        nb = float(np.max(np.sum(np.abs(b), axis=0)))
-        if nb == 0.0:
-            return 0.0
-        bound = math.exp((math.log(nb) + log_scale) / (2 * k))
-        best = min(best, bound)
-        if abs(prev - bound) <= rtol * bound:
-            break
-        prev = bound
-        scaled = b / nb
-        b = scaled @ scaled
-        log_scale = 2.0 * (log_scale + math.log(nb))
-        k *= 2
-    return best

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linalg import dagger, kron, res, spectral_norm_upper, unres
+from .linalg import dagger, kron, res, unres
 from .model import build_collapse_ops, build_controls, build_drift
 
 __all__ = [
@@ -224,6 +224,15 @@ def _noise_factors(gen, dt):
     )
 
 
+def _noise_step(gen, dt):
+    """The control-independent split factor ``A B``, or None for a
+    noiseless generator, whose ``A B`` is exactly the identity."""
+    if not (np.any(gen.decay_part) or np.any(gen.jump_part)):
+        return None
+    a, b = _noise_factors(gen, dt)
+    return a @ b
+
+
 def split_factors(gen, hx, hy, dt):
     """Per-interval splitting factors (decay, jump, coherent).
 
@@ -274,13 +283,14 @@ def split_propagator(gen, pulses):
     """Product of per-interval splitting factors, interval 0 first.
 
     Step k is ``A B (U_k kron conj(U_k))``; the coherent factor is applied
-    by contraction and never formed.
+    by contraction and never formed, and ``A B`` is skipped without noise.
     """
-    a, b = _noise_factors(gen, pulses.dt)
-    ab = a @ b
+    ab = _noise_step(gen, pulses.dt)
     total = np.eye(gen.dim * gen.dim, dtype=np.complex128)
     for u in _coherent_unitaries(gen, pulses)[0]:
-        total = ab @ _kron_conj_left(u, total)
+        total = _kron_conj_left(u, total)
+        if ab is not None:
+            total = ab @ total
     return total
 
 
@@ -346,7 +356,6 @@ def split_gradient(gen, pulses, target):
     """
     d, dt = gen.dim, pulses.dt
     m, d2 = pulses.num_pulses, d * d
-    a, b = _noise_factors(gen, dt)
     u, w, v, vh = _coherent_unitaries(gen, pulses)
     # dU_k = V ((V^dag dH V) * phi) V^dag, phi the divided differences of
     # exp(-i dt x) at the eigenvalues of H_k
@@ -368,7 +377,7 @@ def split_gradient(gen, pulses, target):
     return _sweep(
         target,
         m,
-        a @ b,
+        _noise_step(gen, dt),
         lambda k, x: _kron_conj_left(u[k], x),
         lambda k, x: _kron_conj_right(x, u[k]),
         contract,
@@ -417,11 +426,11 @@ def machnes_gradient(gen, pulses, target):
 def dt_validity_check(gen, h_max, dt):
     """Check ``dt`` against the approximate-gradient validity bound.
 
-    The bound is the inverse spectral norm of the generator at full control
-    amplitude; the check passes when ``dt`` is at most a tenth of it.
+    The bound is the inverse of the exact spectral norm (largest singular
+    value) of the generator at full control amplitude; the check passes
+    when ``dt`` is at most a tenth of it.
     """
-    worst = gen.at(h_max, h_max)
-    norm = spectral_norm_upper(worst)
+    norm = float(np.linalg.norm(gen.at(h_max, h_max), 2))
     bound = math.inf if norm == 0.0 else 1.0 / norm
     return dt <= bound / 10.0, bound
 

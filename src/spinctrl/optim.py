@@ -1,11 +1,12 @@
 """Search engines: bound-constrained quasi-Newton ascent and a real-valued
 genetic algorithm.
 
-Both maximize.  The quasi-Newton routine is a limited-memory BFGS with
-gradient projection onto the box and an Armijo backtracking line search
-clipped to the bounds.  The GA follows the classic generational loop:
-select two parents, two-point crossover, per-gene reset mutation, repeat
-until the next population is full, with optional elitism.
+Both maximize.  The quasi-Newton routine is a limited-memory BFGS (10
+curvature pairs) with gradient projection onto the box and an Armijo
+backtracking line search clipped to the bounds, of at most 20 trials.  The
+GA follows the classic generational loop: two parents by tournament
+selection, two-point crossover, per-gene reset mutation, repeat until the
+next population is full, with optional elitism.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ class GaConfig:
     population_size: int = 64
     generations: int = 300
     keep_probability: float = 0.95
-    selection: str = "tournament"
     tournament_k: int = 3
-    truncation_fraction: float = 0.25
     elitism: int = 2
     seed: int = 0
 
@@ -70,12 +69,8 @@ class GaConfig:
             raise ValueError("population_size must be even and >= 4")
         if not 0.0 <= self.keep_probability <= 1.0:
             raise ValueError("keep_probability must be in [0, 1]")
-        if self.selection not in ("tournament", "truncation"):
-            raise ValueError("selection must be 'tournament' or 'truncation'")
         if self.tournament_k < 1:
             raise ValueError("tournament_k must be >= 1")
-        if not 0.0 < self.truncation_fraction <= 1.0:
-            raise ValueError("truncation_fraction must be in (0, 1]")
         if not 0 <= self.elitism < self.population_size:
             raise ValueError("elitism must be < population_size")
         if self.generations < 1:
@@ -83,7 +78,7 @@ class GaConfig:
 
 
 def _two_loop_direction(grad, s_hist, y_hist):
-    """Inverse-Hessian product of standard two-loop recursion (history 10)."""
+    """Inverse-Hessian product of standard two-loop recursion."""
     q = grad.copy()
     alphas = []
     rhos = [1.0 / float(np.dot(y, s)) for s, y in zip(s_hist, y_hist)]
@@ -100,12 +95,12 @@ def _two_loop_direction(grad, s_hist, y_hist):
     return q
 
 
-def lbfgs_b_maximize(obj, bounds, start, max_iters=500, tol=1e-8, history=10):
+def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     """Maximize within a box using projected limited-memory BFGS.
 
-    Terminates when the projected-gradient infinity norm drops to ``tol``,
-    on a relative score change below 1e-12, or after ``max_iters``
-    iterations.  Returns ``(point, score, iterations)``.
+    Terminates when the projected-gradient infinity norm drops to 1e-8, on
+    a relative score change below 1e-12, when a line search fails, or after
+    ``max_iters`` iterations.  Returns ``(point, score, iterations)``.
     """
     if obj.evaluate_with_gradient is None:
         raise ValueError("lbfgs_b_maximize requires an objective with gradients")
@@ -132,7 +127,7 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500, tol=1e-8, history=10):
         # Armijo backtracking along the projected path
         alpha, accepted = 1.0, False
         xn, phin, gn = x, phi, gphi
-        for _ in range(50):
+        for _ in range(20):
             xn = bounds.clip(x + alpha * d)
             step = xn - x
             if not np.any(step):
@@ -151,7 +146,7 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500, tol=1e-8, history=10):
         if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             s_hist.append(s)
             y_hist.append(y)
-            if len(s_hist) > history:
+            if len(s_hist) > 10:
                 s_hist.pop(0)
                 y_hist.pop(0)
 
@@ -159,7 +154,7 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500, tol=1e-8, history=10):
         x, phi, gphi = xn, phin, gn
 
         projected = x - bounds.clip(x - gphi)
-        if float(np.max(np.abs(projected))) <= tol:
+        if float(np.max(np.abs(projected))) <= 1e-8:
             break
         if abs(prev_phi - phi) <= 1e-12 * max(1.0, abs(phi)):
             break
@@ -198,22 +193,16 @@ def crossover_two_point(x, y, rng):
 
 
 def select(population, cfg, rng):
-    """Pick one parent genome from ``(genome, fitness)`` pairs.
-
-    Tournament: best of ``tournament_k`` uniform draws.  Truncation:
-    uniform draw from the top fraction.  Fitness ties break toward the
-    lower population index.
+    """Pick one parent genome from ``(genome, fitness)`` pairs: the best of
+    ``tournament_k`` uniform draws, fitness ties broken toward the lower
+    population index.
     """
     size = len(population)
     if size == 0:
         raise ValueError("cannot select from an empty population")
-    if cfg.selection == "tournament":
-        draws = rng.integers(0, size, size=cfg.tournament_k)
-        best = min(draws, key=lambda i: (-population[i][1], i))
-        return population[best][0]
-    order = sorted(range(size), key=lambda i: (-population[i][1], i))
-    top = max(1, int(np.ceil(cfg.truncation_fraction * size)))
-    return population[order[int(rng.integers(0, top))]][0]
+    draws = rng.integers(0, size, size=cfg.tournament_k)
+    best = min(draws, key=lambda i: (-population[i][1], i))
+    return population[best][0]
 
 
 def ga_maximize(obj, bounds, num_pulses, cfg):

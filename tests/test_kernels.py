@@ -9,7 +9,7 @@ import scipy.linalg
 from conftest import random_complex
 from spinctrl._kernels import _pykernels
 
-KERNEL_API = ("expm", "chain_product", "piecewise_steps", "piecewise_total")
+KERNEL_API = ("expm", "piecewise_steps", "piecewise_total")
 
 
 @pytest.fixture(params=["pykernels", "cykernels"])
@@ -60,7 +60,10 @@ class TestChains:
         base, kx, ky, hx, hy = self._problem(rng, 9, 7)
         steps = backend.piecewise_steps(base, kx, ky, hx, hy, 0.05)
         total = backend.piecewise_total(base, kx, ky, hx, hy, 0.05)
-        assert np.allclose(backend.chain_product(steps), total, atol=1e-12)
+        product = np.eye(9)
+        for step in steps:
+            product = step @ product
+        assert np.allclose(product, total, atol=1e-12)
 
     def test_empty_sequence_is_identity(self, backend, rng):
         base, kx, ky, _, _ = self._problem(rng, 4, 1)

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_unitary
+from conftest import random_complex
 from spinctrl import linalg
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def kron_oracle(a, b):
@@ -169,34 +168,6 @@ class TestPartialTrace:
     def test_dims_mismatch(self):
         with pytest.raises(ValueError):
             linalg.partial_trace(np.eye(4), [2, 3], keep={0})
-
-
-class TestSpectralNormUpper:
-    def test_identity(self):
-        got = linalg.spectral_norm_upper(np.eye(4))
-        assert 1.0 <= got <= 2.0
-
-    def test_pauli_z(self):
-        assert abs(linalg.spectral_norm_upper(SZ) - 1.0) <= 1e-3
-
-    def test_zero(self):
-        assert linalg.spectral_norm_upper(np.zeros((3, 3))) == 0.0
-
-    def test_upper_bounds_svd(self, rng):
-        for _ in range(20):
-            m = random_complex(rng, (8, 8))
-            bound = linalg.spectral_norm_upper(m)
-            exact = np.linalg.svd(m, compute_uv=False)[0]
-            assert bound >= exact * (1 - 1e-12)
-            assert bound <= 1.2 * exact
-
-    def test_degenerate_top_singular_values(self, rng):
-        u = random_unitary(rng, 6)
-        v = random_unitary(rng, 6)
-        m = u @ np.diag([3.0, 3.0, 3.0, 1.0, 0.5, 0.1]) @ v
-        bound = linalg.spectral_norm_upper(m)
-        assert bound >= 3.0 * (1 - 1e-12)
-        assert bound <= 3.3
 
 
 class TestHermitian:

@@ -387,14 +387,12 @@ class TestSplitKronecker:
         target = unitary_superoperator(random_unitary(rng, 8))
         self.check_against_dense(gen, random_pulses(rng, 6, 2.1 / 128, h_max), target)
 
-    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
     def test_scenario_a_state_fitness(self, kind, rng):
+        # without noise the split path skips the identity factor A B
         scenario = scenario_catalog()[0]
-        gen = build_generator(
-            scenario.system,
-            scenario.control_site,
-            NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits),
-        )
+        noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits) if kind else None
+        gen = build_generator(scenario.system, scenario.control_site, noise)
         pulses = random_pulses(
             rng,
             scenario.num_pulses,
@@ -448,6 +446,18 @@ class TestValidityCheck:
         _, b1 = dt_validity_check(gen, 200.0, 0.1)
         _, b2 = dt_validity_check(gen, 400.0, 0.1)
         assert 1.8 < b1 / b2 < 2.2
+
+    @pytest.mark.parametrize("h", [5.0, 100.0])
+    def test_bound_is_inverse_largest_singular_value(self, h):
+        scenario = scenario_catalog()[0]
+        gen = build_generator(
+            scenario.system,
+            scenario.control_site,
+            NoiseSpec.on_all_sites("amplitude_damping", 0.1, scenario.num_qubits),
+        )
+        _, bound = dt_validity_check(gen, h, 0.01)
+        sigma_max = np.linalg.svd(gen.at(h, h), compute_uv=False)[0]
+        assert abs(bound * sigma_max - 1.0) < 1e-12
 
 
 class TestSuperopFidelity:

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinctrl
 from spinctrl.optim import (
     Bounds,
     GaConfig,
@@ -38,6 +43,32 @@ class TestLbfgs:
         assert np.max(np.abs(x - optimum)) < 1e-6
         assert score == pytest.approx(-np.sum(weights * (optimum - center) ** 2))
         assert np.all(np.abs(x) <= 1.0)
+
+    def test_failed_line_search_stops_after_twenty_trials(self):
+        # the gradient has the wrong sign, so no trial step ascends
+        calls = []
+
+        def wrong_sign(x):
+            calls.append(x)
+            return sphere(x), 2.0 * x
+
+        objective = Objective(evaluate=sphere, evaluate_with_gradient=wrong_sign)
+        start = np.array([0.5, -0.3, 0.2])
+        x, score, _ = lbfgs_b_maximize(objective, Bounds(-2.0, 2.0), start)
+        assert len(calls) <= 21
+        assert np.array_equal(x, start) and score == sphere(start)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize would add about a quarter second and 20 MB of resident
+    # memory to every process that imports the package
+    src = str(Path(spinctrl.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import spinctrl; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def run_ga(cfg, calls=None):
