@@ -224,10 +224,15 @@ def _noise_factors(gen, dt):
     )
 
 
+def _noiseless(gen):
+    """Whether the generator has no collapse operators."""
+    return not (np.any(gen.decay_part) or np.any(gen.jump_part))
+
+
 def _noise_step(gen, dt):
     """The control-independent split factor ``A B``, or None for a
     noiseless generator, whose ``A B`` is exactly the identity."""
-    if not (np.any(gen.decay_part) or np.any(gen.jump_part)):
+    if _noiseless(gen):
         return None
     a, b = _noise_factors(gen, dt)
     return a @ b
@@ -294,43 +299,97 @@ def split_propagator(gen, pulses):
     return total
 
 
-def _sweep(target, num_steps, fixed, left, right, contract):
-    """Trace fidelity of the chain ``S_{M-1} ... S_0`` and its gradient.
+def _sweep(close, size, num_steps, fixed, left, right, contract):
+    """Fidelity of the chain ``S_{M-1} ... S_0`` and its gradient.
 
-    Step k is ``S_k = fixed @ P_k``: ``fixed`` is a control-independent
-    factor, or None for none, and ``left(k, x)`` and ``right(k, x)`` return
-    ``P_k @ x`` and ``x @ P_k``.  With ``fwd_k`` the product of the steps
-    before interval k and ``back_k`` the product ``target^dag`` times the
-    steps after it, the fidelity is ``Re Tr(env P_k) / d^2`` for ``env =
-    fwd_k @ back_k @ fixed``.  ``contract(k, env)`` returns ``Re Tr(env
-    dP_k/dhx)`` and ``Re Tr(env dP_k/dhy)``.  The forward products are
-    stored; the backward product, ``fixed`` folded in, is one running
+    The chain runs on ``(size, size)`` matrices: superoperators, or the d x
+    d unitaries of a noiseless chain.  Step k is ``S_k = fixed @ P_k``:
+    ``fixed`` is a control-independent factor, or None for none, and
+    ``left(k, x)`` and ``right(k, x)`` return ``P_k @ x`` and ``x @ P_k``.
+    ``close(total)`` returns the fidelity of the whole product and the
+    matrix G with ``Re Tr(G dtotal)`` its derivative.  With ``fwd_k`` the
+    product of the steps before interval k and ``back_k`` the product of G,
+    the steps after it and ``fixed``, the derivative along ``dP_k`` is ``Re
+    Tr(fwd_k back_k dP_k)``.  ``contract(k, fwd_k, fwd_{k+1}, back_k)``
+    returns it for ``dP_k/dhx`` and ``dP_k/dhy``; ``fwd_M`` is the total.
+    The forward products are stored; the backward product is one running
     matrix.  Returns ``(f, grad)`` with ``grad[:M]`` the hx derivatives and
     ``grad[M:]`` the hy derivatives.
     """
-    target = np.asarray(target, dtype=np.complex128)
-    m, d2 = num_steps, target.shape[-1]
-    norm = 1.0 / d2
-    fwd = np.empty((m, d2, d2), dtype=np.complex128)
-    total = np.eye(d2, dtype=np.complex128)
+    m = num_steps
+    fwd = np.empty((m + 1, size, size), dtype=np.complex128)
+    fwd[0] = np.eye(size, dtype=np.complex128)
     for k in range(m):
-        fwd[k] = total
-        total = left(k, total)
-        if fixed is not None:
-            total = fixed @ total
-    fidelity = float(np.vdot(target, total).real) * norm
+        fwd[k + 1] = left(k, fwd[k]) if fixed is None else fixed @ left(k, fwd[k])
+    fidelity, back = close(fwd[m])
 
     grad = np.empty(2 * m, dtype=np.float64)
-    back = dagger(target)
     if fixed is not None:
         back = back @ fixed
     for k in range(m - 1, -1, -1):
-        grad[k], grad[m + k] = contract(k, fwd[k] @ back)
+        grad[k], grad[m + k] = contract(k, fwd[k], fwd[k + 1], back)
         if k:
             back = right(k, back)
             if fixed is not None:
                 back = back @ fixed
-    return fidelity, grad * norm
+    return fidelity, grad
+
+
+def _dense_close(target):
+    """``close`` of :func:`_sweep` for a superoperator chain: the trace
+    fidelity ``Re Tr(target^dag X) / d^2`` and ``target^dag / d^2``."""
+    target = np.asarray(target, dtype=np.complex128)
+    norm = 1.0 / target.shape[-1]
+    return lambda total: (float(np.vdot(target, total).real) * norm, dagger(target) * norm)
+
+
+def _unitary_close(target):
+    """``close`` of :func:`_sweep` for a d x d unitary chain U: the trace
+    fidelity of ``U kron conj(U)`` against the ``(d^2, d^2)`` target.
+
+    Its derivative is ``Re Tr(Z1^dag dU) + Re Tr(Z2 dU)``: Z1 is the target
+    contracted with U in the conj(U) slot, Z2 with conj(U) in the U slot.
+    Both terms are kept, so G is exact for any target, not only one that
+    maps Hermitian matrices to Hermitian matrices.  Contractions are
+    O(d^4).
+    """
+    target = np.asarray(target, dtype=np.complex128)
+    d2 = target.shape[-1]
+    d = math.isqrt(d2)
+    t4 = target.reshape(d, d, d, d)
+
+    def close(u):
+        u_bar = np.conj(u)
+        z1 = np.einsum("abce,be->ac", t4, u)
+        z2 = np.einsum("abce,ac->eb", t4, u_bar)
+        return float(np.vdot(target, kron(u, u_bar)).real) / d2, (dagger(z1) + z2) / d2
+
+    return close
+
+
+def _unitary_gradient(u, du, target):
+    """Noiseless fidelity and gradient on the d x d interval unitaries.
+
+    ``u`` is the (M, d, d) stack of ``U_k`` and ``du`` the (2, M, d, d)
+    stack of their hx and hy derivatives; the step ``U_k kron conj(U_k)``
+    is never formed.
+    """
+    m, d = u.shape[0], u.shape[-1]
+    # Re Tr(env dU) = Re sum(env^T * dU)
+    du_t = du.swapaxes(-1, -2).reshape(2, m, d * d)
+
+    def contract(k, before, after, back):
+        return (du_t[:, k] @ (before @ back).reshape(-1)).real
+
+    return _sweep(
+        _unitary_close(target),
+        d,
+        m,
+        None,
+        lambda k, x: u[k] @ x,
+        lambda k, x: x @ u[k],
+        contract,
+    )
 
 
 def _expm_divided_differences(theta):
@@ -352,7 +411,9 @@ def split_gradient(gen, pulses, target):
     ``grad[M:]`` the hy derivatives.  The only approximation relative to
     exact evolution is the splitting itself: the coherent factor ``U_k kron
     conj(U_k)`` is differentiated exactly through the eigendecomposition of
-    the d x d Hamiltonian ``H_k``.
+    the d x d Hamiltonian ``H_k``.  Without collapse operators the split
+    propagator is exact, and the chain runs on the d x d unitaries ``U_k``
+    (GRAPE), so the gradient is also the exact one.
     """
     d, dt = gen.dim, pulses.dt
     m, d2 = pulses.num_pulses, d * d
@@ -361,23 +422,27 @@ def split_gradient(gen, pulses, target):
     # exp(-i dt x) at the eigenvalues of H_k
     phi = -1j * dt * _expm_divided_differences(-dt * w)
     du = np.stack([v @ ((vh @ h @ v) * phi) @ vh for h in gen.controls])
+    ab = _noise_step(gen, dt)
+    if ab is None:
+        return _unitary_gradient(u, du, target)
     u_vec = u.reshape(m, d2)
     u_bar_t = np.conj(u).swapaxes(-1, -2).reshape(m, d2)
     du_vec = du.reshape(2, m, d2)
     du_bar_t = np.conj(du).swapaxes(-1, -2).reshape(2, m, d2)
 
-    def contract(k, env):
-        # Tr(env dC) for dC = dU kron conj(U) + U kron conj(dU), with
-        # e[(c, a), (b, d)] = env[(a, b), (c, d)]: the first half is
-        # sum(dU * P), vec(P) = e @ vec(conj(U)^T), the second
+    def contract(k, before, after, back):
+        # Tr(env dC) for env = before @ back and dC = dU kron conj(U) + U
+        # kron conj(dU), with e[(c, a), (b, d)] = env[(a, b), (c, d)]: the
+        # first half is sum(dU * P), vec(P) = e @ vec(conj(U)^T), the second
         # sum(conj(dU)^T * Q), vec(Q) = vec(U) @ e.
-        e = env.reshape(d, d, d, d).transpose(2, 0, 1, 3).reshape(d2, d2)
+        e = (before @ back).reshape(d, d, d, d).transpose(2, 0, 1, 3).reshape(d2, d2)
         return (du_vec[:, k] @ (e @ u_bar_t[k]) + du_bar_t[:, k] @ (u_vec[k] @ e)).real
 
     return _sweep(
-        target,
+        _dense_close(target),
+        d2,
         m,
-        _noise_step(gen, dt),
+        ab,
         lambda k, x: _kron_conj_left(u[k], x),
         lambda k, x: _kron_conj_right(x, u[k]),
         contract,
@@ -389,7 +454,10 @@ def machnes_gradient(gen, pulses, target):
 
     The step derivative is approximated by ``+dt K(dH/dh) X_k``, which is
     valid for ``dt`` well below the inverse generator norm; a warning is
-    emitted when the sequence sits outside that regime.
+    emitted when the sequence sits outside that regime.  Without collapse
+    operators the exact step is ``U_k kron conj(U_k)``, and the chain runs
+    on the d x d unitaries with ``dU_k = -i dt (dH/dh) U_k``; with them it
+    runs on the dense steps ``X_k = expm(dt F_k)``.
     """
     dt = pulses.dt
     if pulses.num_pulses:
@@ -402,19 +470,25 @@ def machnes_gradient(gen, pulses, target):
                 stacklevel=2,
             )
 
+    if _noiseless(gen):
+        u = _coherent_unitaries(gen, pulses)[0]
+        du = np.stack([-1j * dt * h @ u for h in gen.controls])
+        return _unitary_gradient(u, du, target)
+
     steps = _kernels.piecewise_steps(
         gen.base, gen.control_comms[0], gen.control_comms[1],
         pulses.hx, pulses.hy, dt,
     )
     control_ts = [k.T for k in gen.control_comms]
 
-    def contract(k, env):
-        # Tr(env dt K X_k) = dt sum(K^T * (X_k env))
-        y = steps[k] @ env
+    def contract(k, before, after, back):
+        # Tr(back dt K X_k fwd_k) = dt sum(K^T * (fwd_{k+1} back))
+        y = after @ back
         return [dt * np.sum(kt * y).real for kt in control_ts]
 
     return _sweep(
-        target,
+        _dense_close(target),
+        gen.dim * gen.dim,
         pulses.num_pulses,
         None,
         lambda k, x: steps[k] @ x,
@@ -428,9 +502,18 @@ def dt_validity_check(gen, h_max, dt):
 
     The bound is the inverse of the exact spectral norm (largest singular
     value) of the generator at full control amplitude; the check passes
-    when ``dt`` is at most a tenth of it.
+    when ``dt`` is at most a tenth of it.  Without collapse operators the
+    generator is the commutator ``K(H)``, a normal matrix with eigenvalues
+    ``-i (l_i - l_j)``, so its norm is ``l_max - l_min`` of the d x d
+    Hamiltonian ``H(h_max, h_max)``.
     """
-    norm = float(np.linalg.norm(gen.at(h_max, h_max), 2))
+    if _noiseless(gen):
+        w = np.linalg.eigvalsh(
+            gen.drift + h_max * gen.controls[0] + h_max * gen.controls[1]
+        )
+        norm = float(w[-1] - w[0])
+    else:
+        norm = float(np.linalg.norm(gen.at(h_max, h_max), 2))
     bound = math.inf if norm == 0.0 else 1.0 / norm
     return dt <= bound / 10.0, bound
 

@@ -329,19 +329,25 @@ class TestSplit:
         assert 1.7 < errs[1] / errs[2] < 2.4
 
 
+def chain(steps, d2):
+    """Product of dense steps, the first one acting first."""
+    total = np.eye(d2, dtype=complex)
+    for s in steps:
+        total = s @ total
+    return total
+
+
+def overlap(target, x):
+    """``Re Tr(target^dag x) / d^2`` for one target or a stack of them."""
+    return np.sum(np.conj(target) * x, axis=(-2, -1)).real / x.shape[-1]
+
+
 def dense_split_chain(gen, pulses, target):
     """Propagator, fidelity and gradient of the split chain from the dense
     per-interval factors, each coherent derivative from SciPy's Frechet
-    derivative of expm."""
+    derivative of expm.  ``target`` may be a stack of targets."""
     dt, m = pulses.dt, pulses.num_pulses
     d2 = gen.dim * gen.dim
-
-    def chain(steps):
-        total = np.eye(d2, dtype=complex)
-        for s in steps:
-            total = s @ total
-        return total
-
     steps, dsteps = [], []
     for hx, hy in zip(pulses.hx, pulses.hy):
         a, b, c = split_factors(gen, hx, hy, dt)
@@ -351,18 +357,43 @@ def dense_split_chain(gen, pulses, target):
             [a @ b @ scipy.linalg.expm_frechet(coherent, dt * k, compute_expm=False)
              for k in gen.control_comms]
         )
-    grad = np.empty(2 * m)
+    grad = np.empty((2 * m,) + np.shape(target)[:-2])
     for k in range(m):
         for c, ds in enumerate(dsteps[k]):
-            step_derivative = chain(steps[k + 1:]) @ ds @ chain(steps[:k])
-            grad[c * m + k] = np.vdot(target, step_derivative).real / d2
-    total = chain(steps)
-    return total, np.vdot(target, total).real / d2, grad
+            step_derivative = chain(steps[k + 1:], d2) @ ds @ chain(steps[:k], d2)
+            grad[c * m + k] = overlap(target, step_derivative)
+    total = chain(steps, d2)
+    return total, overlap(target, total), grad
+
+
+def dense_first_order_chain(gen, pulses, target):
+    """Fidelity of the exact chain of dense steps ``X_k = expm(dt F_k)`` and
+    its first-order gradient, each step derivative ``dt K(dH/dh) X_k``.
+    ``target`` may be a stack of targets."""
+    dt, m = pulses.dt, pulses.num_pulses
+    d2 = gen.dim * gen.dim
+    steps = [step_propagator_exact(gen, hx, hy, dt) for hx, hy in zip(pulses.hx, pulses.hy)]
+    grad = np.empty((2 * m,) + np.shape(target)[:-2])
+    for k in range(m):
+        for c, comm in enumerate(gen.control_comms):
+            step_derivative = (
+                chain(steps[k + 1:], d2) @ (dt * comm @ steps[k]) @ chain(steps[:k], d2)
+            )
+            grad[c * m + k] = overlap(target, step_derivative)
+    return overlap(target, chain(steps, d2)), grad
+
+
+def catalog_generator_and_pulses(scenario, rng, num_pulses=None):
+    """Noiseless generator and pulses uniform in +-h_max at the scenario's dt."""
+    gen = build_generator(scenario.system, scenario.control_site, None)
+    dt = scenario.total_time / scenario.num_pulses
+    return gen, random_pulses(rng, num_pulses or scenario.num_pulses, dt, scenario.h_max)
 
 
 class TestSplitKronecker:
-    """The split path applies ``U kron conj(U)`` by contraction; checked
-    against the dense chain of :func:`split_factors`."""
+    """The split path applies ``U kron conj(U)`` by contraction, and the
+    noiseless gradients run on the d x d unitaries; checked against the
+    dense chains of :func:`split_factors` and :func:`step_propagator_exact`."""
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_contraction_helpers(self, d, rng):
@@ -400,6 +431,59 @@ class TestSplitKronecker:
             scenario.h_max,
         )
         self.check_against_dense(gen, pulses, fitness_target(scenario))
+
+    @pytest.mark.filterwarnings("ignore:dt = ")
+    @pytest.mark.parametrize("scenario_id", list("abcdef"))
+    def test_noiseless_gradients_match_dense_chains(self, scenario_id, rng):
+        # the random target does not map Hermitian matrices to Hermitian
+        # ones, so the gradient needs both halves of the closing contraction
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        gen, pulses = catalog_generator_and_pulses(scenario, rng, num_pulses=8)
+        d2 = scenario.dim**2
+        targets = np.stack([
+            target_superoperator(scenario),
+            fitness_target(scenario),
+            random_complex(rng, (d2, d2)),
+        ])
+        oracles = [
+            (split_gradient, dense_split_chain(gen, pulses, targets)[1:]),
+            (machnes_gradient, dense_first_order_chain(gen, pulses, targets)),
+        ]
+        for gradient, (fs, grads) in oracles:
+            for i, target in enumerate(targets):
+                got_f, got_grad = gradient(gen, pulses, target)
+                assert abs(got_f - fs[i]) < 1e-12
+                grad = grads[:, i]
+                assert np.max(np.abs(got_grad - grad)) < 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.filterwarnings("ignore:dt = ")
+    def test_noiseless_gradients_skip_dense_kernels(self, rng, monkeypatch):
+        def dense(*args):
+            raise AssertionError("dense kernel called on a noiseless chain")
+
+        monkeypatch.setattr(lindblad._kernels, "piecewise_steps", dense)
+        monkeypatch.setattr(lindblad._kernels, "expm", dense)
+        scenario = scenario_catalog()[3]
+        gen, pulses = catalog_generator_and_pulses(scenario, rng)
+        target = target_superoperator(scenario)
+        split_gradient(gen, pulses, target)
+        machnes_gradient(gen, pulses, target)
+
+    @pytest.mark.filterwarnings("ignore:dt = ")
+    def test_noiseless_gradient_memory(self, rng):
+        # scenario (d), M = 128: one (M, d^2, d^2) array of dense steps is
+        # 8 MiB; the d x d chain needs under 1 MiB
+        scenario = scenario_catalog()[3]
+        gen, pulses = catalog_generator_and_pulses(scenario, rng)
+        target = target_superoperator(scenario)
+        machnes_gradient(gen, pulses, target)
+        tracemalloc.start()
+        try:
+            machnes_gradient(gen, pulses, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_gradient_memory(self, rng):
         # scenario (d), M = 128: the forward products are the one
@@ -449,15 +533,16 @@ class TestValidityCheck:
 
     @pytest.mark.parametrize("h", [5.0, 100.0])
     def test_bound_is_inverse_largest_singular_value(self, h):
+        # without noise the norm comes from the d x d Hamiltonian's spectrum
         scenario = scenario_catalog()[0]
-        gen = build_generator(
-            scenario.system,
-            scenario.control_site,
+        for noise in (
             NoiseSpec.on_all_sites("amplitude_damping", 0.1, scenario.num_qubits),
-        )
-        _, bound = dt_validity_check(gen, h, 0.01)
-        sigma_max = np.linalg.svd(gen.at(h, h), compute_uv=False)[0]
-        assert abs(bound * sigma_max - 1.0) < 1e-12
+            None,
+        ):
+            gen = build_generator(scenario.system, scenario.control_site, noise)
+            _, bound = dt_validity_check(gen, h, 0.01)
+            sigma_max = np.linalg.svd(gen.at(h, h), compute_uv=False)[0]
+            assert abs(bound * sigma_max - 1.0) < 1e-12
 
 
 class TestSuperopFidelity:
