@@ -299,31 +299,32 @@ def split_propagator(gen, pulses):
     return total
 
 
-def _sweep(close, size, num_steps, fixed, left, right, contract):
-    """Fidelity of the chain ``S_{M-1} ... S_0`` and its gradient.
+def _sweep(target, num_steps, fixed, left, right, contract):
+    """Trace fidelity of a superoperator chain ``S_{M-1} ... S_0`` and its
+    gradient; it serves the noisy chains, the noiseless ones run
+    :func:`_unitary_gradient`.
 
-    The chain runs on ``(size, size)`` matrices: superoperators, or the d x
-    d unitaries of a noiseless chain.  Step k is ``S_k = fixed @ P_k``:
-    ``fixed`` is a control-independent factor, or None for none, and
-    ``left(k, x)`` and ``right(k, x)`` return ``P_k @ x`` and ``x @ P_k``.
-    ``close(total)`` returns the fidelity of the whole product and the
-    matrix G with ``Re Tr(G dtotal)`` its derivative.  With ``fwd_k`` the
-    product of the steps before interval k and ``back_k`` the product of G,
+    Step k is ``S_k = fixed @ P_k``: ``fixed`` is a control-independent
+    factor, or None for none, and ``left(k, x)`` and ``right(k, x)`` return
+    ``P_k @ x`` and ``x @ P_k``.  With ``fwd_k`` the product of the steps
+    before interval k and ``back_k`` the product of ``target^dag / d^2``,
     the steps after it and ``fixed``, the derivative along ``dP_k`` is ``Re
     Tr(fwd_k back_k dP_k)``.  ``contract(k, fwd_k, fwd_{k+1}, back_k)``
-    returns it for ``dP_k/dhx`` and ``dP_k/dhy``; ``fwd_M`` is the total.
-    The forward products are stored; the backward product is one running
-    matrix.  Returns ``(f, grad)`` with ``grad[:M]`` the hx derivatives and
-    ``grad[M:]`` the hy derivatives.
+    returns it for ``dP_k/dhx`` and ``dP_k/dhy``.  The forward products are
+    stored; the backward product is one running matrix.  Returns ``(f,
+    grad)`` with ``grad[:M]`` the hx derivatives and ``grad[M:]`` the hy
+    derivatives.
     """
-    m = num_steps
-    fwd = np.empty((m + 1, size, size), dtype=np.complex128)
-    fwd[0] = np.eye(size, dtype=np.complex128)
+    m, d2 = num_steps, target.shape[-1]
+    norm = 1.0 / d2
+    fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
+    fwd[0] = np.eye(d2, dtype=np.complex128)
     for k in range(m):
         fwd[k + 1] = left(k, fwd[k]) if fixed is None else fixed @ left(k, fwd[k])
-    fidelity, back = close(fwd[m])
+    fidelity = float(np.vdot(target, fwd[m]).real) * norm
 
     grad = np.empty(2 * m, dtype=np.float64)
+    back = dagger(target) * norm
     if fixed is not None:
         back = back @ fixed
     for k in range(m - 1, -1, -1):
@@ -335,36 +336,22 @@ def _sweep(close, size, num_steps, fixed, left, right, contract):
     return fidelity, grad
 
 
-def _dense_close(target):
-    """``close`` of :func:`_sweep` for a superoperator chain: the trace
-    fidelity ``Re Tr(target^dag X) / d^2`` and ``target^dag / d^2``."""
-    target = np.asarray(target, dtype=np.complex128)
-    norm = 1.0 / target.shape[-1]
-    return lambda total: (float(np.vdot(target, total).real) * norm, dagger(target) * norm)
+def _unitary_close(target, u):
+    """Trace fidelity of ``U kron conj(U)`` against the ``(d^2, d^2)``
+    target, and the matrix G with ``Re Tr(G dU)`` its derivative.
 
-
-def _unitary_close(target):
-    """``close`` of :func:`_sweep` for a d x d unitary chain U: the trace
-    fidelity of ``U kron conj(U)`` against the ``(d^2, d^2)`` target.
-
-    Its derivative is ``Re Tr(Z1^dag dU) + Re Tr(Z2 dU)``: Z1 is the target
+    The derivative is ``Re Tr(Z1^dag dU) + Re Tr(Z2 dU)``: Z1 is the target
     contracted with U in the conj(U) slot, Z2 with conj(U) in the U slot.
     Both terms are kept, so G is exact for any target, not only one that
     maps Hermitian matrices to Hermitian matrices.  Contractions are
     O(d^4).
     """
-    target = np.asarray(target, dtype=np.complex128)
-    d2 = target.shape[-1]
-    d = math.isqrt(d2)
+    d = u.shape[-1]
     t4 = target.reshape(d, d, d, d)
-
-    def close(u):
-        u_bar = np.conj(u)
-        z1 = np.einsum("abce,be->ac", t4, u)
-        z2 = np.einsum("abce,ac->eb", t4, u_bar)
-        return float(np.vdot(target, kron(u, u_bar)).real) / d2, (dagger(z1) + z2) / d2
-
-    return close
+    u_bar = np.conj(u)
+    z1 = np.einsum("abce,be->ac", t4, u)
+    z2 = np.einsum("abce,ac->eb", t4, u_bar)
+    return float(np.vdot(target, kron(u, u_bar)).real) / d**2, (dagger(z1) + z2) / d**2
 
 
 def _unitary_gradient(u, du, target):
@@ -372,24 +359,21 @@ def _unitary_gradient(u, du, target):
 
     ``u`` is the (M, d, d) stack of ``U_k`` and ``du`` the (2, M, d, d)
     stack of their hx and hy derivatives; the step ``U_k kron conj(U_k)``
-    is never formed.
+    is never formed.  With ``fwd_k = U_{k-1} ... U_0`` and ``total =
+    fwd_M``, the chain is unitary, so the product after interval k is
+    ``U_{M-1} ... U_{k+1} = total fwd_{k+1}^dag`` (GRAPE) and there is no
+    backward sweep: the derivative along ``dU_k`` is ``Re Tr(env_k dU_k)``
+    with ``env_k = fwd_k G total fwd_{k+1}^dag``, all M at once.
     """
     m, d = u.shape[0], u.shape[-1]
+    fwd = np.empty((m + 1, d, d), dtype=np.complex128)
+    fwd[0] = np.eye(d, dtype=np.complex128)
+    for k in range(m):
+        np.matmul(u[k], fwd[k], out=fwd[k + 1])
+    fidelity, g = _unitary_close(target, fwd[m])
+    env = fwd[:m] @ (g @ fwd[m]) @ np.conj(fwd[1:]).swapaxes(-1, -2)
     # Re Tr(env dU) = Re sum(env^T * dU)
-    du_t = du.swapaxes(-1, -2).reshape(2, m, d * d)
-
-    def contract(k, before, after, back):
-        return (du_t[:, k] @ (before @ back).reshape(-1)).real
-
-    return _sweep(
-        _unitary_close(target),
-        d,
-        m,
-        None,
-        lambda k, x: u[k] @ x,
-        lambda k, x: x @ u[k],
-        contract,
-    )
+    return fidelity, np.einsum("kij,ckji->ck", env, du).real.reshape(-1)
 
 
 def _expm_divided_differences(theta):
@@ -404,6 +388,15 @@ def _expm_divided_differences(theta):
     return np.exp(1j * mean) * np.sinc(delta / np.pi)
 
 
+def _checked_target(gen, target):
+    """The target as a complex array, which must be ``(d^2, d^2)``."""
+    target = np.asarray(target, dtype=np.complex128)
+    d2 = gen.dim * gen.dim
+    if target.shape != (d2, d2):
+        raise ValueError(f"expected a {(d2, d2)} target superoperator, got {target.shape}")
+    return target
+
+
 def split_gradient(gen, pulses, target):
     """Fidelity of the split propagator and its exact gradient.
 
@@ -415,6 +408,7 @@ def split_gradient(gen, pulses, target):
     propagator is exact, and the chain runs on the d x d unitaries ``U_k``
     (GRAPE), so the gradient is also the exact one.
     """
+    target = _checked_target(gen, target)
     d, dt = gen.dim, pulses.dt
     m, d2 = pulses.num_pulses, d * d
     u, w, v, vh = _coherent_unitaries(gen, pulses)
@@ -439,8 +433,7 @@ def split_gradient(gen, pulses, target):
         return (du_vec[:, k] @ (e @ u_bar_t[k]) + du_bar_t[:, k] @ (u_vec[k] @ e)).real
 
     return _sweep(
-        _dense_close(target),
-        d2,
+        target,
         m,
         ab,
         lambda k, x: _kron_conj_left(u[k], x),
@@ -455,10 +448,13 @@ def machnes_gradient(gen, pulses, target):
     The step derivative is approximated by ``+dt K(dH/dh) X_k``, which is
     valid for ``dt`` well below the inverse generator norm; a warning is
     emitted when the sequence sits outside that regime.  Without collapse
-    operators the exact step is ``U_k kron conj(U_k)``, and the chain runs
-    on the d x d unitaries with ``dU_k = -i dt (dH/dh) U_k``; with them it
-    runs on the dense steps ``X_k = expm(dt F_k)``.
+    operators the exact step is ``U_k kron conj(U_k)``: one
+    ``_kernels.piecewise_steps`` call exponentiates the d x d ``-i dt H_k``,
+    and the gradient runs on those unitaries with ``dU_k = -i dt (dH/dh)
+    U_k`` and no backward sweep (:func:`_unitary_gradient`).  With collapse
+    operators the chain runs on the dense steps ``X_k = expm(dt F_k)``.
     """
+    target = _checked_target(gen, target)
     dt = pulses.dt
     if pulses.num_pulses:
         h_peak = float(np.max(np.abs(pulses.genome())))
@@ -471,7 +467,10 @@ def machnes_gradient(gen, pulses, target):
             )
 
     if _noiseless(gen):
-        u = _coherent_unitaries(gen, pulses)[0]
+        u = _kernels.piecewise_steps(
+            -1j * gen.drift, -1j * gen.controls[0], -1j * gen.controls[1],
+            pulses.hx, pulses.hy, dt,
+        )
         du = np.stack([-1j * dt * h @ u for h in gen.controls])
         return _unitary_gradient(u, du, target)
 
@@ -487,8 +486,7 @@ def machnes_gradient(gen, pulses, target):
         return [dt * np.sum(kt * y).real for kt in control_ts]
 
     return _sweep(
-        _dense_close(target),
-        gen.dim * gen.dim,
+        target,
         pulses.num_pulses,
         None,
         lambda k, x: steps[k] @ x,

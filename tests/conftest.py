@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, set before NumPy loads: the suite's small dense products
+# run about twice as fast as with OpenBLAS's default threads on two cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import importlib.util
 import shlex
 import shutil

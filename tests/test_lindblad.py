@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -458,16 +459,69 @@ class TestSplitKronecker:
 
     @pytest.mark.filterwarnings("ignore:dt = ")
     def test_noiseless_gradients_skip_dense_kernels(self, rng, monkeypatch):
+        # the only exponentials are the d x d unitaries of noiseless
+        # machnes_gradient, from one piecewise_steps call
+        scenario = scenario_catalog()[3]
+        gen, pulses = catalog_generator_and_pulses(scenario, rng)
+        unitary_steps = lindblad._kernels.piecewise_steps
+        calls = []
+
+        def steps(base, *args):
+            if np.shape(base) != (gen.dim, gen.dim):
+                raise AssertionError("dense kernel called on a noiseless chain")
+            calls.append(np.shape(base))
+            return unitary_steps(base, *args)
+
         def dense(*args):
             raise AssertionError("dense kernel called on a noiseless chain")
 
-        monkeypatch.setattr(lindblad._kernels, "piecewise_steps", dense)
+        monkeypatch.setattr(lindblad._kernels, "piecewise_steps", steps)
         monkeypatch.setattr(lindblad._kernels, "expm", dense)
-        scenario = scenario_catalog()[3]
-        gen, pulses = catalog_generator_and_pulses(scenario, rng)
         target = target_superoperator(scenario)
         split_gradient(gen, pulses, target)
+        assert calls == []
         machnes_gradient(gen, pulses, target)
+        assert calls == [(gen.dim, gen.dim)]
+
+    @pytest.mark.filterwarnings("ignore:dt = ")
+    def test_noiseless_gradients_match_backward_loop(self, rng):
+        # scenario (d) at the catalog M = 128 and +-h_max: the oracle walks
+        # the product after each interval by an explicit backward loop, so
+        # it does not rely on fwd_{k+1}^dag being the inverse of fwd_{k+1}
+        scenario = scenario_catalog()[3]
+        gen, pulses = catalog_generator_and_pulses(scenario, rng)
+        d, dt, m = gen.dim, pulses.dt, pulses.num_pulses
+        hams = [gen.drift + hx * gen.controls[0] + hy * gen.controls[1]
+                for hx, hy in zip(pulses.hx, pulses.hy)]
+        u = [scipy.linalg.expm(-1j * dt * h) for h in hams]
+        exact_du = [[scipy.linalg.expm_frechet(-1j * dt * h, -1j * dt * c, compute_expm=False)
+                     for h in hams] for c in gen.controls]
+        first_order_du = [[-1j * dt * c @ uk for uk in u] for c in gen.controls]
+        fwd = [np.eye(d, dtype=complex)]
+        for uk in u:
+            fwd.append(uk @ fwd[-1])
+        back, running = [None] * m, np.eye(d, dtype=complex)
+        for k in range(m - 1, -1, -1):
+            back[k] = running
+            running = running @ u[k]
+
+        def oracle(du, target):
+            total = fwd[m]
+            grad = []
+            for c in range(2):
+                for k in range(m):
+                    dtotal = back[k] @ du[c][k] @ fwd[k]
+                    step = kron(dtotal, np.conj(total)) + kron(total, np.conj(dtotal))
+                    grad.append(overlap(target, step))
+            return overlap(target, unitary_superoperator(total)), np.array(grad)
+
+        targets = [target_superoperator(scenario), random_complex(rng, (d * d, d * d))]
+        for gradient, du in ((split_gradient, exact_du), (machnes_gradient, first_order_du)):
+            for target in targets:
+                f, grad = oracle(du, target)
+                got_f, got_grad = gradient(gen, pulses, target)
+                assert abs(got_f - f) < 1e-12
+                assert np.max(np.abs(got_grad - grad)) < 1e-12 * np.max(np.abs(grad))
 
     @pytest.mark.filterwarnings("ignore:dt = ")
     def test_noiseless_gradient_memory(self, rng):
@@ -772,6 +826,22 @@ class TestGradients:
         )
         assert f == pytest.approx(fitness(x), abs=1e-14)
         assert relative_error(grad, central_differences(fitness, x)) < 1e-6
+
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping"])
+    @pytest.mark.parametrize("gradient", [split_gradient, machnes_gradient])
+    def test_rejects_target_of_wrong_shape(self, gradient, kind, rng):
+        scenario = scenario_catalog()[3]
+        noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits) if kind else None
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        pulses = random_pulses(rng, 4, 0.01)
+        for target in (
+            scenario.full_target_unitary(),
+            unitary_superoperator(random_unitary(rng, 4)),
+            np.array([]),
+        ):
+            expected = f"expected a (64, 64) target superoperator, got {target.shape}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                gradient(gen, pulses, target)
 
     @pytest.mark.parametrize("gradient", [split_gradient, machnes_gradient])
     def test_empty_sequence(self, gradient, rng):
