@@ -104,7 +104,9 @@ class Generator:
     ``drift`` and ``controls`` are the d x d Hamiltonians, ``drift_comm``
     and ``control_comms`` their commutator superoperators ``K(H)``.  The
     dissipator is kept as its two split-method exponents: the jump part
-    ``sum gamma L kron conj(L)`` and the decay part, the anticommutator half.
+    ``sum gamma L kron conj(L)`` and the decay part, the anticommutator half
+    ``K kron I + I kron conj(K)``, with ``decay`` the d x d ``K = -1/2 sum
+    gamma L^dag L``.
     """
 
     drift_comm: np.ndarray
@@ -114,6 +116,7 @@ class Generator:
     decay_part: np.ndarray
     drift: np.ndarray
     controls: tuple
+    decay: np.ndarray
 
     @property
     def base(self):
@@ -130,6 +133,7 @@ def _dissipator_parts(collapse_ops, dim):
     jump = np.zeros((d2, d2), dtype=np.complex128)
     decay = np.zeros((d2, d2), dtype=np.complex128)
     ident = np.eye(dim, dtype=np.complex128)
+    k = np.zeros((dim, dim), dtype=np.complex128)
     for op, gamma in collapse_ops:
         op = np.asarray(op, dtype=np.complex128)
         if op.shape != (dim, dim):
@@ -139,7 +143,8 @@ def _dissipator_parts(collapse_ops, dim):
         gram = dagger(op) @ op
         jump += gamma * kron(op, np.conj(op))
         decay += -0.5 * gamma * (kron(gram, ident) + kron(ident, np.conj(gram)))
-    return jump, decay
+        k += -0.5 * gamma * gram
+    return jump, decay, k
 
 
 def assemble_dissipator(collapse_ops):
@@ -148,7 +153,7 @@ def assemble_dissipator(collapse_ops):
     if not ops:
         raise ValueError("assemble_dissipator needs at least one collapse operator")
     dim = np.asarray(ops[0][0]).shape[0]
-    jump, decay = _dissipator_parts(ops, dim)
+    jump, decay, _ = _dissipator_parts(ops, dim)
     return jump + decay
 
 
@@ -169,7 +174,7 @@ def build_generator(system, control_site, noise=None):
     h0 = build_drift(system)
     sx, sy = build_controls(system, control_site)
     collapse = build_collapse_ops(system, noise) if noise is not None else []
-    jump, decay = _dissipator_parts(collapse, system.dim)
+    jump, decay, k = _dissipator_parts(collapse, system.dim)
     return Generator(
         drift_comm=assemble_hamiltonian_super(h0),
         control_comms=(
@@ -181,6 +186,7 @@ def build_generator(system, control_site, noise=None):
         decay_part=decay,
         drift=h0,
         controls=(sx, sy),
+        decay=k,
     )
 
 
@@ -212,16 +218,23 @@ def total_propagator_exact(gen, pulses):
 
 
 def _noise_factors(gen, dt):
-    """Control-independent split factors ``(expm(dt decay), expm(dt jump))``.
+    """Control-independent split factors ``(E, B)``.
 
-    An all-zero part (no collapse operators) gives exactly the identity:
-    the Pade solve leaves ``1 - 1.1e-16`` on the diagonal of ``expm(0)``.
+    The decay factor is ``A = expm(dt decay_part) = E kron conj(E)`` with
+    the d x d ``E = expm(dt K)``; the jump factor ``B = expm(dt jump_part)``
+    is a ``scipy.sparse.csr_array`` (125 of 4096 entries are nonzero on a
+    3-qubit chain with amplitude damping, and it is diagonal with phase
+    damping).  An all-zero part (no collapse operators) gives exactly the
+    identity: the Pade solve leaves ``1 - 1.1e-16`` on the diagonal of
+    ``expm(0)``.
     """
-    ident = np.eye(gen.dim * gen.dim, dtype=np.complex128)
-    return tuple(
-        _kernels.expm(dt * part) if np.any(part) else ident
-        for part in (gen.decay_part, gen.jump_part)
+    import scipy.sparse
+
+    e, b = (
+        _kernels.expm(dt * part) if np.any(part) else np.eye(len(part), dtype=np.complex128)
+        for part in (gen.decay, gen.jump_part)
     )
+    return e, scipy.sparse.csr_array(b)
 
 
 def _noiseless(gen):
@@ -229,21 +242,14 @@ def _noiseless(gen):
     return not (np.any(gen.decay_part) or np.any(gen.jump_part))
 
 
-def _noise_step(gen, dt):
-    """The control-independent split factor ``A B``, or None for a
-    noiseless generator, whose ``A B`` is exactly the identity."""
-    if _noiseless(gen):
-        return None
-    a, b = _noise_factors(gen, dt)
-    return a @ b
-
-
 def split_factors(gen, hx, hy, dt):
-    """Per-interval splitting factors (decay, jump, coherent).
+    """Per-interval splitting factors (decay, jump, coherent) as dense
+    ``(d^2, d^2)`` arrays.
 
     The product ``A @ B @ C`` approximates the exact step to O(dt^2); only
     the coherent factor C depends on the controls.  This is the dense
-    per-interval reference: C is the kernels' Pade ``expm`` of the
+    per-interval reference: A is ``E kron conj(E)`` and B the jump factor
+    of :func:`_noise_factors`, and C is the kernels' Pade ``expm`` of the
     ``(d^2, d^2)`` commutator generator, so it is bit for bit the kernel
     backend's ``expm(dt F)`` of a noiseless generator.  :func:`split_propagator`
     and :func:`split_gradient` instead apply C as ``U kron conj(U)``, from
@@ -251,7 +257,8 @@ def split_factors(gen, hx, hy, dt):
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    a, b = _noise_factors(gen, dt)
+    e, b = _noise_factors(gen, dt)
+    a, b = kron(e, np.conj(e)), b.toarray()
     c = _kernels.expm(
         dt * (gen.drift_comm + hx * gen.control_comms[0] + hy * gen.control_comms[1])
     )
@@ -279,60 +286,62 @@ def _kron_conj_left(u, x):
     return (np.conj(u) @ y).reshape(x.shape)
 
 
-def _kron_conj_right(x, u):
-    """``x @ (u kron conj(u))``, the transpose of :func:`_kron_conj_left`."""
-    return _kron_conj_left(u.T, x.T).T
+def _fold_decay(u, e):
+    """``W_0 = U_0`` and ``W_k = U_k E`` for k >= 1, on the interval axis
+    third from the end; ``u`` is a stack of ``U_k`` or of their derivatives.
+
+    The split chain ``A B C_{M-1} ... A B C_0``, with ``C_k = U_k kron
+    conj(U_k)`` and ``A = E kron conj(E)``, regroups as ``A [B (W_{M-1}
+    kron conj(W_{M-1}))] ... [B (W_0 kron conj(W_0))]``.
+    """
+    w = u.copy()
+    w[..., 1:, :, :] = u[..., 1:, :, :] @ e
+    return w
 
 
 def split_propagator(gen, pulses):
-    """Product of per-interval splitting factors, interval 0 first.
+    """Product of per-interval splitting factors ``A B C_k``, interval 0
+    first.
 
-    Step k is ``A B (U_k kron conj(U_k))``; the coherent factor is applied
-    by contraction and never formed, and ``A B`` is skipped without noise.
+    The chain runs regrouped as in :func:`_fold_decay`: per interval one
+    contraction applies ``W_k kron conj(W_k)`` and one sparse product B,
+    and a last contraction applies A.  An empty sequence gives the identity.
     """
-    ab = _noise_step(gen, pulses.dt)
     total = np.eye(gen.dim * gen.dim, dtype=np.complex128)
-    for u in _coherent_unitaries(gen, pulses)[0]:
-        total = _kron_conj_left(u, total)
-        if ab is not None:
-            total = ab @ total
-    return total
+    u = _coherent_unitaries(gen, pulses)[0]
+    if not len(u):
+        return total
+    e, b = _noise_factors(gen, pulses.dt)
+    for w in _fold_decay(u, e):
+        total = b @ _kron_conj_left(w, total)
+    return _kron_conj_left(e, total)
 
 
-def _sweep(target, num_steps, fixed, left, right, contract):
-    """Trace fidelity of a superoperator chain ``S_{M-1} ... S_0`` and its
-    gradient; it serves the noisy chains, the noiseless ones run
-    :func:`_unitary_gradient`.
+def _sweep(target, steps, contract):
+    """Trace fidelity of the dense superoperator chain ``X_{M-1} ... X_0``
+    and its gradient, for the noisy first-order gradient.
 
-    Step k is ``S_k = fixed @ P_k``: ``fixed`` is a control-independent
-    factor, or None for none, and ``left(k, x)`` and ``right(k, x)`` return
-    ``P_k @ x`` and ``x @ P_k``.  With ``fwd_k`` the product of the steps
-    before interval k and ``back_k`` the product of ``target^dag / d^2``,
-    the steps after it and ``fixed``, the derivative along ``dP_k`` is ``Re
-    Tr(fwd_k back_k dP_k)``.  ``contract(k, fwd_k, fwd_{k+1}, back_k)``
-    returns it for ``dP_k/dhx`` and ``dP_k/dhy``.  The forward products are
-    stored; the backward product is one running matrix.  Returns ``(f,
-    grad)`` with ``grad[:M]`` the hx derivatives and ``grad[M:]`` the hy
-    derivatives.
+    With ``fwd_k`` the product of the steps before interval k and
+    ``back_k`` the product of ``target^dag / d^2`` and the steps after it,
+    ``contract(fwd_{k+1}, back_k)`` returns the derivatives along interval
+    k's hx and hy.  The forward products are stored; the backward product
+    is one running matrix.  Returns ``(f, grad)`` with ``grad[:M]`` the hx
+    derivatives and ``grad[M:]`` the hy derivatives.
     """
-    m, d2 = num_steps, target.shape[-1]
+    m, d2 = len(steps), target.shape[-1]
     norm = 1.0 / d2
     fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
     fwd[0] = np.eye(d2, dtype=np.complex128)
     for k in range(m):
-        fwd[k + 1] = left(k, fwd[k]) if fixed is None else fixed @ left(k, fwd[k])
+        fwd[k + 1] = steps[k] @ fwd[k]
     fidelity = float(np.vdot(target, fwd[m]).real) * norm
 
     grad = np.empty(2 * m, dtype=np.float64)
     back = dagger(target) * norm
-    if fixed is not None:
-        back = back @ fixed
     for k in range(m - 1, -1, -1):
-        grad[k], grad[m + k] = contract(k, fwd[k], fwd[k + 1], back)
+        grad[k], grad[m + k] = contract(fwd[k + 1], back)
         if k:
-            back = right(k, back)
-            if fixed is not None:
-                back = back @ fixed
+            back = back @ steps[k]
     return fidelity, grad
 
 
@@ -407,6 +416,19 @@ def split_gradient(gen, pulses, target):
     the d x d Hamiltonian ``H_k``.  Without collapse operators the split
     propagator is exact, and the chain runs on the d x d unitaries ``U_k``
     (GRAPE), so the gradient is also the exact one.
+
+    With collapse operators the chain is regrouped as in
+    :func:`_fold_decay`, ``dW_k = dU_k E``, and the leading A moves into
+    the target as ``A^dag T``.  Every map of the chain is unchanged by
+    ``sigma(X) = P conj(X) P``, P the swap of the two tensor factors, so
+    the target is replaced by ``T_h = (T + sigma(T)) / 2``, which leaves
+    ``Re Tr(T^dag Y)`` unchanged for every such Y.  Then the ``W kron
+    conj(dW)`` half of each step derivative gives the same as the ``dW kron
+    conj(W)`` half, and the gradient is ``2 Re sum(dW_k * q_k)`` with the d
+    x d ``q_k`` one contraction of the stored forward product with the
+    backward one, which is carried transposed so that every W acts from the
+    left.  Per interval that is a few d x d by d x d^2 products and one
+    sparse product with B.
     """
     target = _checked_target(gen, target)
     d, dt = gen.dim, pulses.dt
@@ -416,30 +438,31 @@ def split_gradient(gen, pulses, target):
     # exp(-i dt x) at the eigenvalues of H_k
     phi = -1j * dt * _expm_divided_differences(-dt * w)
     du = np.stack([v @ ((vh @ h @ v) * phi) @ vh for h in gen.controls])
-    ab = _noise_step(gen, dt)
-    if ab is None:
+    if _noiseless(gen) or not m:
         return _unitary_gradient(u, du, target)
-    u_vec = u.reshape(m, d2)
-    u_bar_t = np.conj(u).swapaxes(-1, -2).reshape(m, d2)
-    du_vec = du.reshape(2, m, d2)
-    du_bar_t = np.conj(du).swapaxes(-1, -2).reshape(2, m, d2)
+    e, b = _noise_factors(gen, dt)
+    w, dw = _fold_decay(u, e), _fold_decay(du, e)
+    t = _kron_conj_left(dagger(e), target)
+    fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
+    fwd[0] = np.eye(d2, dtype=np.complex128)
+    for k in range(m):
+        fwd[k + 1] = b @ _kron_conj_left(w[k], fwd[k])
+    fidelity = float(np.vdot(t, fwd[m]).real) / d2
 
-    def contract(k, before, after, back):
-        # Tr(env dC) for env = before @ back and dC = dU kron conj(U) + U
-        # kron conj(dU), with e[(c, a), (b, d)] = env[(a, b), (c, d)]: the
-        # first half is sum(dU * P), vec(P) = e @ vec(conj(U)^T), the second
-        # sum(conj(dU)^T * Q), vec(Q) = vec(U) @ e.
-        e = (before @ back).reshape(d, d, d, d).transpose(2, 0, 1, 3).reshape(d2, d2)
-        return (du_vec[:, k] @ (e @ u_bar_t[k]) + du_bar_t[:, k] @ (u_vec[k] @ e)).real
-
-    return _sweep(
-        target,
-        m,
-        ab,
-        lambda k, x: _kron_conj_left(u[k], x),
-        lambda k, x: _kron_conj_right(x, u[k]),
-        contract,
-    )
+    # bt[(a, b), x] is the transposed product of T_h^dag / d^2 and the steps
+    # after interval k, B included; conj(sigma(T)) = P T P
+    b_t = b.T.tocsr()
+    t_swap = t.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2)
+    bt = b_t @ ((np.conj(t) + t_swap) / (2 * d2))
+    q = np.empty((m, d, d), dtype=np.complex128)
+    for k in range(m - 1, -1, -1):
+        # h[a, e, x] = sum_b conj(W)[b, e] bt[(a, b), x], and q_k[a, c] =
+        # sum_(e, x) h[a, e, x] fwd_k[(c, e), x]
+        h = (np.conj(w[k]).T @ bt.reshape(d, d, d2)).reshape(d, d * d2)
+        q[k] = h @ fwd[k].reshape(d, d * d2).T
+        if k:
+            bt = b_t @ (w[k].T @ h).reshape(d2, d2)
+    return fidelity, 2 * np.einsum("ckij,kij->ck", dw, q).real.reshape(-1)
 
 
 def machnes_gradient(gen, pulses, target):
@@ -480,19 +503,12 @@ def machnes_gradient(gen, pulses, target):
     )
     control_ts = [k.T for k in gen.control_comms]
 
-    def contract(k, before, after, back):
+    def contract(after, back):
         # Tr(back dt K X_k fwd_k) = dt sum(K^T * (fwd_{k+1} back))
         y = after @ back
         return [dt * np.sum(kt * y).real for kt in control_ts]
 
-    return _sweep(
-        target,
-        pulses.num_pulses,
-        None,
-        lambda k, x: steps[k] @ x,
-        lambda k, x: x @ steps[k],
-        contract,
-    )
+    return _sweep(target, steps, contract)
 
 
 def dt_validity_check(gen, h_max, dt):

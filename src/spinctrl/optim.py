@@ -212,7 +212,8 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
     rest of the next population comes from select / crossover / mutate
     pairs.  With a deterministic objective the run is a pure function of
     ``cfg.seed``.  Returns ``(best genome, best score, per-generation best
-    scores)``.
+    scores)``.  Raises ``RuntimeError`` when no genome of any generation has
+    a finite fitness.
     """
     n_genes = 2 * num_pulses
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -255,4 +256,8 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
                 offspring.append(mutate(brother, cfg.keep_probability, rng, bounds))
         population = np.array(offspring)
 
+    if best_genome is None:
+        raise RuntimeError(
+            f"no genome had a finite fitness in {len(history)} generations"
+        )
     return best_genome, best_score, history

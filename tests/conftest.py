@@ -24,6 +24,16 @@ def rng():
     return np.random.default_rng(20240815)
 
 
+def loaded_by_import(module):
+    """Whether ``import spinctrl`` in a fresh interpreter loads ``module``."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(REPO_ROOT / 'src')!r}); import spinctrl; "
+        f"print({module!r} in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 

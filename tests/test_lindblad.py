@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_complex, random_density, random_unitary
+from conftest import loaded_by_import, random_complex, random_density, random_unitary
 from spinctrl import lindblad
 from spinctrl._kernels import _pykernels
 from spinctrl.lindblad import (
@@ -273,6 +273,23 @@ class TestSplit:
         assert np.array_equal(b, np.eye(16))
         assert np.array_equal(c, impl.expm(0.3 * gen.at(1.0, 2.0)))
 
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
+    def test_decay_factor_from_d_by_d_exponential(self, kind):
+        # A = expm(dt decay_part) is E kron conj(E) with E = expm(dt K)
+        scenario = scenario_catalog()[3]
+        noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        dt = scenario.total_time / scenario.num_pulses
+        e, _ = lindblad._noise_factors(gen, dt)
+        dense = lindblad._kernels.expm(dt * gen.decay_part)
+        assert np.max(np.abs(kron(e, np.conj(e)) - dense)) < 1e-14
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        # the sparse jump factor imports scipy.sparse on first use, which
+        # would add about 1 MB and 11-18 ms to every process importing the
+        # package
+        assert not loaded_by_import("scipy.sparse")
+
     def test_dephasing_factors_diagonal(self):
         gen = single_qubit_generator(NoiseSpec("phase_damping", 0.5, (0,)))
         a, b, _ = split_factors(gen, 0.2, 0.1, 0.4)
@@ -402,7 +419,6 @@ class TestSplitKronecker:
         x = random_complex(rng, (d * d, d * d))
         c = kron(u, np.conj(u))
         assert np.max(np.abs(lindblad._kron_conj_left(u, x) - c @ x)) < 1e-12
-        assert np.max(np.abs(lindblad._kron_conj_right(x, u) - x @ c)) < 1e-12
 
     def check_against_dense(self, gen, pulses, target):
         total, f, grad = dense_split_chain(gen, pulses, target)
@@ -432,6 +448,24 @@ class TestSplitKronecker:
             scenario.h_max,
         )
         self.check_against_dense(gen, pulses, fitness_target(scenario))
+
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("scenario_id, num_pulses", [("d", 16), ("a", None)])
+    def test_noisy_random_target(self, scenario_id, num_pulses, kind, rng):
+        # a random complex target is not unchanged by sigma(X) = P conj(X) P,
+        # so the gradient is right only with the target projected onto the
+        # sigma-invariant part before the factor 2
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        pulses = random_pulses(
+            rng,
+            num_pulses or scenario.num_pulses,
+            scenario.total_time / scenario.num_pulses,
+            scenario.h_max,
+        )
+        d2 = scenario.dim**2
+        self.check_against_dense(gen, pulses, random_complex(rng, (d2, d2)))
 
     @pytest.mark.filterwarnings("ignore:dt = ")
     @pytest.mark.parametrize("scenario_id", list("abcdef"))
@@ -843,13 +877,19 @@ class TestGradients:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 gradient(gen, pulses, target)
 
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping"])
     @pytest.mark.parametrize("gradient", [split_gradient, machnes_gradient])
-    def test_empty_sequence(self, gradient, rng):
-        gen = build_generator(SpinSystem.chain(2), 0, None)
+    def test_empty_sequence(self, gradient, kind, rng):
+        # no interval, so no decay factor either: the split chain regroups
+        # A B C_k with one A left over only when there is a first interval
+        noise = NoiseSpec.on_all_sites(kind, 0.1, 2) if kind else None
+        gen = build_generator(SpinSystem.chain(2), 0, noise)
         target = unitary_superoperator(random_unitary(rng, 4))
-        f, grad = gradient(gen, PulseSequence([], [], 0.1), target)
+        empty = PulseSequence([], [], 0.1)
+        f, grad = gradient(gen, empty, target)
         assert f == superop_fidelity(np.eye(16), target, 2) != 0
         assert grad.shape == (0,)
+        assert np.array_equal(split_propagator(gen, empty), np.eye(16))
 
     def test_lbfgs_reaches_state_fitness_floor(self, rng):
         # noiseless (a): split propagation is exact, and the state fitness

@@ -1,11 +1,7 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import spinctrl
+from conftest import loaded_by_import
 from spinctrl.optim import (
     Bounds,
     GaConfig,
@@ -62,13 +58,7 @@ class TestLbfgs:
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize would add about a quarter second and 20 MB of resident
     # memory to every process that imports the package
-    src = str(Path(spinctrl.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import spinctrl; "
-        "print('scipy.optimize' in sys.modules)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert not loaded_by_import("scipy.optimize")
 
 
 def run_ga(cfg, calls=None):
@@ -134,3 +124,9 @@ class TestGa:
                 assert swapped[0] >= 1 and swapped[-1] <= n - 2
             lengths.add(swapped.size)
         assert lengths == set(range(n - 1))
+
+    def test_raises_when_no_fitness_is_finite(self):
+        objective = Objective(evaluate=lambda x: np.nan)
+        with pytest.warns(UserWarning, match="non-finite fitness nan"):
+            with pytest.raises(RuntimeError, match="no genome had a finite fitness in 4 generations"):
+                ga_maximize(objective, Bounds(-2.0, 2.0), 3, self.CONFIG)
