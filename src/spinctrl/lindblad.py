@@ -106,7 +106,8 @@ class Generator:
     dissipator is kept as its two split-method exponents: the jump part
     ``sum gamma L kron conj(L)`` and the decay part, the anticommutator half
     ``K kron I + I kron conj(K)``, with ``decay`` the d x d ``K = -1/2 sum
-    gamma L^dag L``.
+    gamma L^dag L``.  The arrays are made read-only, so the split noise
+    factors memoised per generator cannot go stale.
     """
 
     drift_comm: np.ndarray
@@ -118,6 +119,12 @@ class Generator:
     controls: tuple
     decay: np.ndarray
 
+    def __post_init__(self):
+        for name in ("drift_comm", "jump_part", "decay_part", "drift", "decay"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        for name in ("control_comms", "controls"):
+            object.__setattr__(self, name, tuple(map(_read_only, getattr(self, name))))
+
     @property
     def base(self):
         """Control-independent generator: drift commutator plus dissipator."""
@@ -126,6 +133,12 @@ class Generator:
     def at(self, hx, hy):
         """Full generator F(hx, hy)."""
         return self.base + hx * self.control_comms[0] + hy * self.control_comms[1]
+
+
+def _read_only(a):
+    a = np.asarray(a, dtype=np.complex128)
+    a.flags.writeable = False
+    return a
 
 
 def _dissipator_parts(collapse_ops, dim):
@@ -217,24 +230,35 @@ def total_propagator_exact(gen, pulses):
     )
 
 
+_NOISE_FACTORS = weakref.WeakKeyDictionary()
+
+
 def _noise_factors(gen, dt):
-    """Control-independent split factors ``(E, B)``.
+    """Control-independent split factors ``(E, B, B^T)``, built once per
+    generator and dt.
 
     The decay factor is ``A = expm(dt decay_part) = E kron conj(E)`` with
-    the d x d ``E = expm(dt K)``; the jump factor ``B = expm(dt jump_part)``
-    is a ``scipy.sparse.csr_array`` (125 of 4096 entries are nonzero on a
-    3-qubit chain with amplitude damping, and it is diagonal with phase
-    damping).  An all-zero part (no collapse operators) gives exactly the
-    identity: the Pade solve leaves ``1 - 1.1e-16`` on the diagonal of
-    ``expm(0)``.
+    the d x d ``E = expm(dt K)``, returned read-only; the jump factor ``B =
+    expm(dt jump_part)`` and its transpose are ``scipy.sparse.csr_array``
+    (125 of 4096 entries are nonzero on a 3-qubit chain with amplitude
+    damping, and B is diagonal with phase damping).  An all-zero part (no
+    collapse operators) gives exactly the identity: the Pade solve leaves
+    ``1 - 1.1e-16`` on the diagonal of ``expm(0)``.  A generator is
+    immutable and hashes by identity.
     """
-    import scipy.sparse
+    by_dt = _NOISE_FACTORS.setdefault(gen, {})
+    factors = by_dt.get(dt)
+    if factors is None:
+        import scipy.sparse
 
-    e, b = (
-        _kernels.expm(dt * part) if np.any(part) else np.eye(len(part), dtype=np.complex128)
-        for part in (gen.decay, gen.jump_part)
-    )
-    return e, scipy.sparse.csr_array(b)
+        e, b = (
+            _kernels.expm(dt * part) if np.any(part) else np.eye(len(part), dtype=np.complex128)
+            for part in (gen.decay, gen.jump_part)
+        )
+        e.flags.writeable = False
+        b = scipy.sparse.csr_array(b)
+        factors = by_dt[dt] = (e, b, b.T.tocsr())
+    return factors
 
 
 def _noiseless(gen):
@@ -257,7 +281,7 @@ def split_factors(gen, hx, hy, dt):
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    e, b = _noise_factors(gen, dt)
+    e, b, _ = _noise_factors(gen, dt)
     a, b = kron(e, np.conj(e)), b.toarray()
     c = _kernels.expm(
         dt * (gen.drift_comm + hx * gen.control_comms[0] + hy * gen.control_comms[1])
@@ -311,7 +335,7 @@ def split_propagator(gen, pulses):
     u = _coherent_unitaries(gen, pulses)[0]
     if not len(u):
         return total
-    e, b = _noise_factors(gen, pulses.dt)
+    e, b, _ = _noise_factors(gen, pulses.dt)
     for w in _fold_decay(u, e):
         total = b @ _kron_conj_left(w, total)
     return _kron_conj_left(e, total)
@@ -440,7 +464,7 @@ def split_gradient(gen, pulses, target):
     du = np.stack([v @ ((vh @ h @ v) * phi) @ vh for h in gen.controls])
     if _noiseless(gen) or not m:
         return _unitary_gradient(u, du, target)
-    e, b = _noise_factors(gen, dt)
+    e, b, b_t = _noise_factors(gen, dt)
     w, dw = _fold_decay(u, e), _fold_decay(du, e)
     t = _kron_conj_left(dagger(e), target)
     fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
@@ -451,7 +475,6 @@ def split_gradient(gen, pulses, target):
 
     # bt[(a, b), x] is the transposed product of T_h^dag / d^2 and the steps
     # after interval k, B included; conj(sigma(T)) = P T P
-    b_t = b.T.tocsr()
     t_swap = t.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2)
     bt = b_t @ ((np.conj(t) + t_swap) / (2 * d2))
     q = np.empty((m, d, d), dtype=np.complex128)

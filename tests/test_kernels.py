@@ -1,6 +1,10 @@
 """Backend parity: the compiled kernels must match the NumPy fallback."""
 
+import os
+import sys
 import sysconfig
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -100,3 +104,35 @@ class TestBackendParity:
             a = getattr(cykernels, fn)(base, kx, ky, hx, hy, 0.02)
             b = getattr(_pykernels, fn)(base, kx, ky, hx, hy, 0.02)
             assert np.allclose(a, b, atol=1e-12)
+
+
+def test_concurrent_calls_match_serial(backend, rng):
+    # the GA scores genomes on several threads at once, so the kernels'
+    # scratch buffers and BLAS must be safe to share between threads
+    n, m, dt = 16, 32, 0.05
+    base, kx, ky, a = (random_complex(rng, (n, n)) for _ in range(4))
+    hx, hy = rng.normal(size=(2, m))
+    calls = {
+        "expm": lambda: backend.expm(a),
+        "piecewise_steps": lambda: backend.piecewise_steps(base, kx, ky, hx, hy, dt),
+        "piecewise_total": lambda: backend.piecewise_total(base, kx, ky, hx, hy, dt),
+    }
+    serial = {name: call() for name, call in calls.items()}
+    # more threads than cores, switching as often as the interpreter allows
+    threads = (os.cpu_count() or 1) + 1
+    start = threading.Barrier(threads)
+
+    def mismatches():
+        start.wait(timeout=30)
+        return [name for _ in range(10) for name, call in calls.items()
+                if not np.array_equal(call(), serial[name])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(mismatches) for _ in range(threads)]
+            found = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [[]] * threads

@@ -280,9 +280,35 @@ class TestSplit:
         noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
         gen = build_generator(scenario.system, scenario.control_site, noise)
         dt = scenario.total_time / scenario.num_pulses
-        e, _ = lindblad._noise_factors(gen, dt)
+        e = lindblad._noise_factors(gen, dt)[0]
         dense = lindblad._kernels.expm(dt * gen.decay_part)
         assert np.max(np.abs(kron(e, np.conj(e)) - dense)) < 1e-14
+
+    def test_noise_factors_built_once_per_generator_and_dt(self, rng, monkeypatch):
+        scenario = scenario_catalog()[0]
+        noise = NoiseSpec.on_all_sites("amplitude_damping", 0.3, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        pulses = random_pulses(rng, 6, 0.1)
+        target = target_superoperator(scenario)
+        fidelity, grad = split_gradient(gen, pulses, target)
+        total = split_propagator(gen, pulses)
+        factors = lindblad._noise_factors(gen, pulses.dt)
+
+        def rebuilt(a):
+            raise AssertionError("noise factors rebuilt")
+
+        # the noise factors are the only exponentials of the split path
+        monkeypatch.setattr(lindblad._kernels, "expm", rebuilt)
+        assert lindblad._noise_factors(gen, pulses.dt) is factors
+        again = split_gradient(gen, pulses, target)
+        assert again[0] == fidelity and np.array_equal(again[1], grad)
+        assert np.array_equal(split_propagator(gen, pulses), total)
+        with pytest.raises(ValueError):
+            factors[0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            gen.jump_part[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            gen.controls[0][0, 0] = 1.0
 
     def test_import_leaves_scipy_sparse_unloaded(self):
         # the sparse jump factor imports scipy.sparse on first use, which

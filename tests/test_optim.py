@@ -1,7 +1,12 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import loaded_by_import
+from spinctrl import optim
 from spinctrl.optim import (
     Bounds,
     GaConfig,
@@ -55,10 +60,12 @@ class TestLbfgs:
         assert np.array_equal(x, start) and score == sphere(start)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+@pytest.mark.parametrize("module", ["scipy.optimize", "concurrent.futures.thread"])
+def test_import_leaves_module_unloaded(module):
     # scipy.optimize would add about a quarter second and 20 MB of resident
-    # memory to every process that imports the package
-    assert not loaded_by_import("scipy.optimize")
+    # memory to every process that imports the package; the GA imports its
+    # thread pool on first use
+    assert not loaded_by_import(module)
 
 
 def run_ga(cfg, calls=None):
@@ -82,17 +89,19 @@ class TestGa:
         assert not np.array_equal(genome, other[0])
 
     def test_elites_survive_unchanged(self):
+        # every gene of every child is redrawn, so a genome of the next
+        # generation equals an elite only if the elite survived; the calls
+        # of one generation come in any order, but all before the next's
         calls = []
-        cfg = self.CONFIG
+        cfg = GaConfig(population_size=8, generations=4, keep_probability=0.0, seed=7)
         run_ga(cfg, calls)
         size = cfg.population_size
         for gen in range(cfg.generations - 1):
             population = calls[gen * size:(gen + 1) * size]
-            fits = [sphere(x) for x in population]
-            order = sorted(range(size), key=lambda i: (-fits[i], i))
-            survivors = calls[(gen + 1) * size:(gen + 1) * size + cfg.elitism]
-            for i, survivor in zip(order, survivors):
-                assert np.array_equal(population[i], survivor)
+            elites = sorted(population, key=sphere, reverse=True)[: cfg.elitism]
+            following = calls[(gen + 1) * size:(gen + 2) * size]
+            for elite in elites:
+                assert any(np.array_equal(elite, x) for x in following)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_mutate_consumes_two_draws_per_gene(self, p):
@@ -130,3 +139,46 @@ class TestGa:
         with pytest.warns(UserWarning, match="non-finite fitness nan"):
             with pytest.raises(RuntimeError, match="no genome had a finite fitness in 4 generations"):
                 ga_maximize(objective, Bounds(-2.0, 2.0), 3, self.CONFIG)
+
+
+class TestGaWorkers:
+    CONFIG = GaConfig(population_size=8, generations=5, seed=11)
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        def set_cores(count):
+            monkeypatch.setattr(optim, "_usable_cores", lambda: count)
+
+        return set_cores
+
+    @pytest.mark.parametrize("count", [2, 3, 8, 64])
+    def test_result_independent_of_worker_count(self, cores, count):
+        cores(1)
+        genome, score, history = run_ga(self.CONFIG)
+        cores(count)
+        baseline = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' calls
+        try:
+            again = run_ga(self.CONFIG)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == baseline
+        assert np.array_equal(genome, again[0])
+        assert score == again[1] and history == again[2]
+
+    def test_objective_error_propagates(self, cores):
+        cores(2)
+        error = np.linalg.LinAlgError("Pade solve failed")
+        calls = itertools.count()  # next() is atomic, unlike len() after append
+
+        def evaluate(x):
+            if next(calls) == 4:
+                raise error
+            return sphere(x)
+
+        baseline = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            ga_maximize(Objective(evaluate=evaluate), Bounds(-2.0, 2.0), 3, self.CONFIG)
+        assert raised.value is error
+        assert threading.active_count() == baseline
