@@ -1,9 +1,9 @@
 """Lindbladian superoperators, propagators, fidelities and their gradients.
 
-Everything acts on row-major vectorized density matrices (see
+Everything acts on density matrices vectorized by stacking their rows (see
 :mod:`spinctrl.linalg`): the master equation becomes
 
-    d res(rho)/dt = F res(rho),     F = K(H) + D,
+    d vec(rho)/dt = F vec(rho),     F = K(H) + D,
 
 with the commutator part ``K(H) = -i (H kron I - I kron conj(H))`` and the
 dissipator ``D = sum_j gamma_j (L_j kron conj(L_j)
@@ -22,20 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linalg import dagger, kron, res, unres
+from .linalg import dagger, kron
 from .model import build_collapse_ops, build_controls, build_drift
 
 __all__ = [
     "PulseSequence",
     "Generator",
-    "assemble_dissipator",
     "assemble_hamiltonian_super",
     "build_generator",
     "unitary_superoperator",
     "target_superoperator",
-    "step_propagator_exact",
     "total_propagator_exact",
-    "split_factors",
     "split_propagator",
     "split_gradient",
     "machnes_gradient",
@@ -43,7 +40,6 @@ __all__ = [
     "superop_fidelity",
     "fitness_target",
     "state_fitness",
-    "propagate_state",
 ]
 
 
@@ -80,10 +76,6 @@ class PulseSequence:
     def num_pulses(self):
         return self.hx.shape[0]
 
-    @property
-    def duration(self):
-        return self.num_pulses * self.dt
-
     @classmethod
     def from_genome(cls, genome, dt):
         """Split a flat parameter vector (hx's then hy's) into a sequence."""
@@ -101,34 +93,30 @@ class PulseSequence:
 class Generator:
     """Assembled Lindbladian pieces for one system + noise configuration.
 
-    ``drift`` and ``controls`` are the d x d Hamiltonians, ``drift_comm``
-    and ``control_comms`` their commutator superoperators ``K(H)``.  The
-    dissipator is kept as its two split-method exponents: the jump part
-    ``sum gamma L kron conj(L)`` and the decay part, the anticommutator half
-    ``K kron I + I kron conj(K)``, with ``decay`` the d x d ``K = -1/2 sum
-    gamma L^dag L``.  The arrays are made read-only, so the split noise
-    factors memoised per generator cannot go stale.
+    ``base`` is the control-independent ``(d^2, d^2)`` generator, the drift
+    commutator ``K(H0)`` plus the dissipator, and ``control_comms`` the
+    commutators ``K(H)`` of the two controls: the exact chains read these.
+    ``drift`` and ``controls`` are the d x d Hamiltonians.  The split method
+    exponentiates the dissipator's two parts apart: ``jump_part`` is the
+    ``(d^2, d^2)`` ``sum gamma L kron conj(L)``, and ``decay`` is the d x d
+    ``K = -1/2 sum gamma L^dag L``, whose ``K kron I + I kron conj(K)`` is
+    the rest.  The arrays are made read-only, so the split noise factors memoised per
+    generator cannot go stale.
     """
 
-    drift_comm: np.ndarray
+    base: np.ndarray
     control_comms: tuple
     dim: int
     jump_part: np.ndarray
-    decay_part: np.ndarray
     drift: np.ndarray
     controls: tuple
     decay: np.ndarray
 
     def __post_init__(self):
-        for name in ("drift_comm", "jump_part", "decay_part", "drift", "decay"):
+        for name in ("base", "jump_part", "drift", "decay"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
         for name in ("control_comms", "controls"):
             object.__setattr__(self, name, tuple(map(_read_only, getattr(self, name))))
-
-    @property
-    def base(self):
-        """Control-independent generator: drift commutator plus dissipator."""
-        return self.drift_comm + self.jump_part + self.decay_part
 
     def at(self, hx, hy):
         """Full generator F(hx, hy)."""
@@ -139,35 +127,6 @@ def _read_only(a):
     a = np.asarray(a, dtype=np.complex128)
     a.flags.writeable = False
     return a
-
-
-def _dissipator_parts(collapse_ops, dim):
-    d2 = dim * dim
-    jump = np.zeros((d2, d2), dtype=np.complex128)
-    decay = np.zeros((d2, d2), dtype=np.complex128)
-    ident = np.eye(dim, dtype=np.complex128)
-    k = np.zeros((dim, dim), dtype=np.complex128)
-    for op, gamma in collapse_ops:
-        op = np.asarray(op, dtype=np.complex128)
-        if op.shape != (dim, dim):
-            raise ValueError(
-                f"collapse operator has shape {op.shape}, expected {(dim, dim)}"
-            )
-        gram = dagger(op) @ op
-        jump += gamma * kron(op, np.conj(op))
-        decay += -0.5 * gamma * (kron(gram, ident) + kron(ident, np.conj(gram)))
-        k += -0.5 * gamma * gram
-    return jump, decay, k
-
-
-def assemble_dissipator(collapse_ops):
-    """Dissipative superoperator for a list of ``(L, gamma)`` pairs."""
-    ops = list(collapse_ops)
-    if not ops:
-        raise ValueError("assemble_dissipator needs at least one collapse operator")
-    dim = np.asarray(ops[0][0]).shape[0]
-    jump, decay, _ = _dissipator_parts(ops, dim)
-    return jump + decay
 
 
 def assemble_hamiltonian_super(h, tol=1e-10):
@@ -187,16 +146,24 @@ def build_generator(system, control_site, noise=None):
     h0 = build_drift(system)
     sx, sy = build_controls(system, control_site)
     collapse = build_collapse_ops(system, noise) if noise is not None else []
-    jump, decay, k = _dissipator_parts(collapse, system.dim)
+    dim, d2 = system.dim, system.dim**2
+    jump = np.zeros((d2, d2), dtype=np.complex128)
+    decay_part = np.zeros((d2, d2), dtype=np.complex128)
+    ident = np.eye(dim, dtype=np.complex128)
+    k = np.zeros((dim, dim), dtype=np.complex128)
+    for op, gamma in collapse:
+        gram = dagger(op) @ op
+        jump += gamma * kron(op, np.conj(op))
+        decay_part += -0.5 * gamma * (kron(gram, ident) + kron(ident, np.conj(gram)))
+        k += -0.5 * gamma * gram
     return Generator(
-        drift_comm=assemble_hamiltonian_super(h0),
+        base=assemble_hamiltonian_super(h0) + jump + decay_part,
         control_comms=(
             assemble_hamiltonian_super(sx),
             assemble_hamiltonian_super(sy),
         ),
-        dim=system.dim,
+        dim=dim,
         jump_part=jump,
-        decay_part=decay,
         drift=h0,
         controls=(sx, sy),
         decay=k,
@@ -215,13 +182,6 @@ def target_superoperator(scenario):
     return unitary_superoperator(scenario.full_target_unitary())
 
 
-def step_propagator_exact(gen, hx, hy, dt):
-    """One interval of exact evolution: ``expm(dt F(hx, hy))``."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    return _kernels.expm(dt * gen.at(hx, hy))
-
-
 def total_propagator_exact(gen, pulses):
     """Exact propagator of the whole sequence; interval 0 acts first."""
     return _kernels.piecewise_total(
@@ -237,14 +197,15 @@ def _noise_factors(gen, dt):
     """Control-independent split factors ``(E, B, B^T)``, built once per
     generator and dt.
 
-    The decay factor is ``A = expm(dt decay_part) = E kron conj(E)`` with
-    the d x d ``E = expm(dt K)``, returned read-only; the jump factor ``B =
-    expm(dt jump_part)`` and its transpose are ``scipy.sparse.csr_array``
-    (125 of 4096 entries are nonzero on a 3-qubit chain with amplitude
-    damping, and B is diagonal with phase damping).  An all-zero part (no
-    collapse operators) gives exactly the identity: the Pade solve leaves
-    ``1 - 1.1e-16`` on the diagonal of ``expm(0)``.  A generator is
-    immutable and hashes by identity.
+    The decay factor, the exponential of ``dt (K kron I + I kron
+    conj(K))``, is ``A = E kron conj(E)`` with the d x d ``E = expm(dt K)``,
+    returned read-only; the jump factor ``B = expm(dt jump_part)`` and its
+    transpose are ``scipy.sparse.csr_array`` (125 of 4096 entries are
+    nonzero on a 3-qubit chain with amplitude damping, and B is diagonal
+    with phase damping).  An all-zero part (no collapse operators) gives
+    exactly the identity: the Pade solve leaves ``1 - 1.1e-16`` on the
+    diagonal of ``expm(0)``.  A generator is immutable and hashes by
+    identity.
     """
     by_dt = _NOISE_FACTORS.setdefault(gen, {})
     factors = by_dt.get(dt)
@@ -263,30 +224,7 @@ def _noise_factors(gen, dt):
 
 def _noiseless(gen):
     """Whether the generator has no collapse operators."""
-    return not (np.any(gen.decay_part) or np.any(gen.jump_part))
-
-
-def split_factors(gen, hx, hy, dt):
-    """Per-interval splitting factors (decay, jump, coherent) as dense
-    ``(d^2, d^2)`` arrays.
-
-    The product ``A @ B @ C`` approximates the exact step to O(dt^2); only
-    the coherent factor C depends on the controls.  This is the dense
-    per-interval reference: A is ``E kron conj(E)`` and B the jump factor
-    of :func:`_noise_factors`, and C is the kernels' Pade ``expm`` of the
-    ``(d^2, d^2)`` commutator generator, so it is bit for bit the kernel
-    backend's ``expm(dt F)`` of a noiseless generator.  :func:`split_propagator`
-    and :func:`split_gradient` instead apply C as ``U kron conj(U)``, from
-    the d x d unitary ``U = exp(-i dt H)``, without forming it.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    e, b, _ = _noise_factors(gen, dt)
-    a, b = kron(e, np.conj(e)), b.toarray()
-    c = _kernels.expm(
-        dt * (gen.drift_comm + hx * gen.control_comms[0] + hy * gen.control_comms[1])
-    )
-    return a, b, c
+    return not (np.any(gen.decay) or np.any(gen.jump_part))
 
 
 def _coherent_unitaries(gen, pulses):
@@ -341,34 +279,6 @@ def split_propagator(gen, pulses):
     return _kron_conj_left(e, total)
 
 
-def _sweep(target, steps, contract):
-    """Trace fidelity of the dense superoperator chain ``X_{M-1} ... X_0``
-    and its gradient, for the noisy first-order gradient.
-
-    With ``fwd_k`` the product of the steps before interval k and
-    ``back_k`` the product of ``target^dag / d^2`` and the steps after it,
-    ``contract(fwd_{k+1}, back_k)`` returns the derivatives along interval
-    k's hx and hy.  The forward products are stored; the backward product
-    is one running matrix.  Returns ``(f, grad)`` with ``grad[:M]`` the hx
-    derivatives and ``grad[M:]`` the hy derivatives.
-    """
-    m, d2 = len(steps), target.shape[-1]
-    norm = 1.0 / d2
-    fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
-    fwd[0] = np.eye(d2, dtype=np.complex128)
-    for k in range(m):
-        fwd[k + 1] = steps[k] @ fwd[k]
-    fidelity = float(np.vdot(target, fwd[m]).real) * norm
-
-    grad = np.empty(2 * m, dtype=np.float64)
-    back = dagger(target) * norm
-    for k in range(m - 1, -1, -1):
-        grad[k], grad[m + k] = contract(fwd[k + 1], back)
-        if k:
-            back = back @ steps[k]
-    return fidelity, grad
-
-
 def _unitary_close(target, u):
     """Trace fidelity of ``U kron conj(U)`` against the ``(d^2, d^2)``
     target, and the matrix G with ``Re Tr(G dU)`` its derivative.
@@ -387,16 +297,19 @@ def _unitary_close(target, u):
     return float(np.vdot(target, kron(u, u_bar)).real) / d**2, (dagger(z1) + z2) / d**2
 
 
-def _unitary_gradient(u, du, target):
+def _unitary_gradient(u, gens, target):
     """Noiseless fidelity and gradient on the d x d interval unitaries.
 
-    ``u`` is the (M, d, d) stack of ``U_k`` and ``du`` the (2, M, d, d)
-    stack of their hx and hy derivatives; the step ``U_k kron conj(U_k)``
-    is never formed.  With ``fwd_k = U_{k-1} ... U_0`` and ``total =
-    fwd_M``, the chain is unitary, so the product after interval k is
-    ``U_{M-1} ... U_{k+1} = total fwd_{k+1}^dag`` (GRAPE) and there is no
-    backward sweep: the derivative along ``dU_k`` is ``Re Tr(env_k dU_k)``
-    with ``env_k = fwd_k G total fwd_{k+1}^dag``, all M at once.
+    ``u`` is the (M, d, d) stack of ``U_k``, and ``gens`` the step
+    generators ``dU_k U_k^dag`` along hx and hy: a (2, M, d, d) stack, or
+    (2, 1, d, d) when they do not depend on k.  The step ``U_k kron
+    conj(U_k)`` is never formed.  With ``fwd_k = U_{k-1} ... U_0`` and
+    ``total = fwd_M``, the chain is unitary, so the product after interval
+    k is ``U_{M-1} ... U_{k+1} = total fwd_{k+1}^dag`` and there is no
+    backward sweep.  The derivative along ``dU_k`` is the GRAPE conjugation
+    form ``Re Tr(P_k gens_k)`` with ``P_k = fwd_{k+1} G total
+    fwd_{k+1}^dag``, all M at once (Khaneja et al., J. Magn. Reson. 172,
+    296 (2005)).
     """
     m, d = u.shape[0], u.shape[-1]
     fwd = np.empty((m + 1, d, d), dtype=np.complex128)
@@ -404,9 +317,9 @@ def _unitary_gradient(u, du, target):
     for k in range(m):
         np.matmul(u[k], fwd[k], out=fwd[k + 1])
     fidelity, g = _unitary_close(target, fwd[m])
-    env = fwd[:m] @ (g @ fwd[m]) @ np.conj(fwd[1:]).swapaxes(-1, -2)
-    # Re Tr(env dU) = Re sum(env^T * dU)
-    return fidelity, np.einsum("kij,ckji->ck", env, du).real.reshape(-1)
+    p = fwd[1:] @ (g @ fwd[m]) @ dagger(fwd[1:])
+    # Re Tr(P gens) = Re sum(P^T * gens)
+    return fidelity, np.einsum("...ij,...ji->...", p, gens).real.reshape(-1)
 
 
 def _expm_divided_differences(theta):
@@ -463,7 +376,7 @@ def split_gradient(gen, pulses, target):
     phi = -1j * dt * _expm_divided_differences(-dt * w)
     du = np.stack([v @ ((vh @ h @ v) * phi) @ vh for h in gen.controls])
     if _noiseless(gen) or not m:
-        return _unitary_gradient(u, du, target)
+        return _unitary_gradient(u, du @ dagger(u), target)
     e, b, b_t = _noise_factors(gen, dt)
     w, dw = _fold_decay(u, e), _fold_decay(du, e)
     t = _kron_conj_left(dagger(e), target)
@@ -496,9 +409,15 @@ def machnes_gradient(gen, pulses, target):
     emitted when the sequence sits outside that regime.  Without collapse
     operators the exact step is ``U_k kron conj(U_k)``: one
     ``_kernels.piecewise_steps`` call exponentiates the d x d ``-i dt H_k``,
-    and the gradient runs on those unitaries with ``dU_k = -i dt (dH/dh)
-    U_k`` and no backward sweep (:func:`_unitary_gradient`).  With collapse
-    operators the chain runs on the dense steps ``X_k = expm(dt F_k)``.
+    and the gradient runs on those unitaries with the step generator ``dU_k
+    U_k^dag = -i dt dH/dh``, the same for every k (Machnes et al., PRA 84,
+    022305 (2011)), and no backward sweep (:func:`_unitary_gradient`).
+
+    With collapse operators the chain runs on the dense steps ``X_k =
+    expm(dt F_k)``.  The forward products ``fwd_k = X_{k-1} ... X_0`` are
+    stored; ``back`` is the running product of ``target^dag / d^2`` and the
+    steps after interval k.  Returns ``(f, grad)`` with ``grad[:M]`` the hx
+    derivatives and ``grad[M:]`` the hy derivatives.
     """
     target = _checked_target(gen, target)
     dt = pulses.dt
@@ -517,21 +436,29 @@ def machnes_gradient(gen, pulses, target):
             -1j * gen.drift, -1j * gen.controls[0], -1j * gen.controls[1],
             pulses.hx, pulses.hy, dt,
         )
-        du = np.stack([-1j * dt * h @ u for h in gen.controls])
-        return _unitary_gradient(u, du, target)
+        return _unitary_gradient(u, -1j * dt * np.stack(gen.controls)[:, None], target)
 
     steps = _kernels.piecewise_steps(
         gen.base, gen.control_comms[0], gen.control_comms[1],
         pulses.hx, pulses.hy, dt,
     )
-    control_ts = [k.T for k in gen.control_comms]
+    m, d2 = len(steps), target.shape[-1]
+    norm = 1.0 / d2
+    fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
+    fwd[0] = np.eye(d2, dtype=np.complex128)
+    for k in range(m):
+        fwd[k + 1] = steps[k] @ fwd[k]
+    fidelity = float(np.vdot(target, fwd[m]).real) * norm
 
-    def contract(after, back):
+    grad = np.empty(2 * m, dtype=np.float64)
+    back = dagger(target) * norm
+    for k in range(m - 1, -1, -1):
         # Tr(back dt K X_k fwd_k) = dt sum(K^T * (fwd_{k+1} back))
-        y = after @ back
-        return [dt * np.sum(kt * y).real for kt in control_ts]
-
-    return _sweep(target, steps, contract)
+        y = fwd[k + 1] @ back
+        grad[k], grad[m + k] = (dt * np.sum(kc.T * y).real for kc in gen.control_comms)
+        if k:
+            back = back @ steps[k]
+    return fidelity, grad
 
 
 def dt_validity_check(gen, h_max, dt):
@@ -570,7 +497,8 @@ def superop_fidelity(a, target, n_qubits):
 def _ancilla_trace_map(n_qubits, ancilla_sites):
     """Superoperator R of the partial trace over the ancilla, ``(d_t^2, d^2)``.
 
-    Column i is ``res`` of the reduced matrix unit ``Tr_anc unres(e_i)``.
+    Column i is the vectorized partial trace of the i-th matrix unit, the
+    one whose vector is ``e_i``.
     """
     d = 2**n_qubits
     ancilla = set(ancilla_sites)
@@ -616,8 +544,3 @@ def state_fitness(channel, scenario):
     fitness is linear in the channel: see :func:`fitness_target`.
     """
     return superop_fidelity(channel, fitness_target(scenario), scenario.num_qubits)
-
-
-def propagate_state(propagator, rho):
-    """Apply a superoperator to a density matrix."""
-    return unres(np.asarray(propagator) @ res(rho))

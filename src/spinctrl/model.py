@@ -8,6 +8,7 @@ J = 1, so amplitudes are in units of J and times in units of 1/J.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,8 @@ class SpinSystem:
             i, j, strength = int(c[0]), int(c[1]), float(c[2])
             if not (0 <= i < j < self.num_qubits):
                 raise ValueError(f"invalid coupling pair ({i}, {j})")
+            if not math.isfinite(strength):
+                raise ValueError(f"couplings: strength of ({i}, {j}) must be finite")
             if (i, j) in seen:
                 raise ValueError(f"duplicate coupling pair ({i}, {j})")
             seen.add((i, j))
@@ -120,8 +123,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
         object.__setattr__(self, "sites", tuple(sorted(int(s) for s in set(self.sites))))
 
     @classmethod
@@ -219,10 +222,9 @@ class Scenario:
             raise ValueError("target is not unitary")
         if self.num_pulses < 1:
             raise ValueError("num_pulses must be >= 1")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be > 0")
-        if self.h_max <= 0:
-            raise ValueError("h_max must be > 0")
+        for name in ("total_time", "h_max"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def num_qubits(self):
@@ -249,20 +251,13 @@ class Scenario:
         return t.reshape(2**n, 2**n)
 
 
-def scenario_catalog(n3_topology="chain"):
-    """The six benchmark scenarios (a) to (f).
+def scenario_catalog():
+    """The six benchmark scenarios (a) to (f), all on open chains.
 
     Two-qubit systems use 32 pulses, three-qubit systems 128; every scenario
-    runs for total time 2.1 with amplitude bound 100.  ``n3_topology``
-    selects ``"chain"`` or ``"triangle"`` couplings for the 3-qubit systems.
+    runs for total time 2.1 with amplitude bound 100.
     """
-    if n3_topology == "chain":
-        sys3 = SpinSystem.chain(3)
-    elif n3_topology == "triangle":
-        sys3 = SpinSystem.ring(3)
-    else:
-        raise ValueError(f"unknown 3-qubit topology {n3_topology!r}")
-    sys2 = SpinSystem.chain(2)
+    sys2, sys3 = SpinSystem.chain(2), SpinSystem.chain(3)
     common = dict(total_time=2.1, h_max=100.0)
 
     return [

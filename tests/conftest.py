@@ -6,6 +6,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import importlib.util
+import math
 import shlex
 import shutil
 import subprocess
@@ -47,6 +48,42 @@ def random_density(rng, d):
     a = random_complex(rng, (d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def res(m):
+    """Row-stacking vectorization, the convention of ``spinctrl.linalg``."""
+    return np.asarray(m, dtype=np.complex128).reshape(-1)
+
+
+def unres(v):
+    """Inverse of :func:`res`; the vector length must be a perfect square."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    d = math.isqrt(v.shape[0])
+    if d * d != v.shape[0]:
+        raise ValueError(f"vector of length {v.shape[0]} is not a square matrix")
+    return v.reshape(d, d)
+
+
+def partial_trace(m, dims, keep):
+    """Reduced matrix after tracing out every subsystem not in ``keep``.
+
+    ``dims`` lists the subsystem dimensions in tensor order; the kept
+    subsystems retain their original relative order.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    dims = [int(d) for d in dims]
+    total = math.prod(dims)
+    if m.shape != (total, total):
+        raise ValueError(f"subsystem dims {dims} give dimension {total}, matrix is {m.shape}")
+    n = len(dims)
+    keep = sorted(set(int(k) for k in keep))
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    in_idx = list(range(n)) + [(i if i not in keep else n + i) for i in range(n)]
+    out_idx = keep + [n + i for i in keep]
+    reduced = np.einsum(m.reshape(dims + dims), in_idx, out_idx)
+    d_keep = math.prod(dims[i] for i in keep)
+    return reduced.reshape(d_keep, d_keep)
 
 
 def _missing_build_tool():

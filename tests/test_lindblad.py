@@ -6,31 +6,42 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import loaded_by_import, random_complex, random_density, random_unitary
+from conftest import (
+    loaded_by_import,
+    partial_trace,
+    random_complex,
+    random_density,
+    random_unitary,
+    res,
+    unres,
+)
 from spinctrl import lindblad
 from spinctrl._kernels import _pykernels
 from spinctrl.lindblad import (
-    Generator,
     PulseSequence,
-    assemble_dissipator,
     assemble_hamiltonian_super,
     build_generator,
     dt_validity_check,
     fitness_target,
     machnes_gradient,
-    propagate_state,
-    split_factors,
     split_gradient,
     split_propagator,
     state_fitness,
-    step_propagator_exact,
     superop_fidelity,
     target_superoperator,
     total_propagator_exact,
     unitary_superoperator,
 )
-from spinctrl.linalg import dagger, kron, partial_trace, res, unres
-from spinctrl.model import NoiseSpec, Scenario, SpinSystem, pauli, scenario_catalog
+from spinctrl.linalg import dagger, kron
+from spinctrl.model import (
+    NoiseSpec,
+    Scenario,
+    SpinSystem,
+    build_collapse_ops,
+    build_controls,
+    pauli,
+    scenario_catalog,
+)
 from spinctrl.optim import Bounds, Objective, lbfgs_b_maximize
 
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -52,6 +63,43 @@ def random_pulses(rng, m, dt, h_scale=2.0):
     )
 
 
+def exact_step(gen, hx, hy, dt):
+    """One interval of exact evolution, ``expm(dt F(hx, hy))``, from SciPy."""
+    return scipy.linalg.expm(dt * gen.at(hx, hy))
+
+
+def exact_interval(gen, hx, hy, dt):
+    """One interval of exact evolution through the library's chain."""
+    return total_propagator_exact(gen, PulseSequence([hx], [hy], dt))
+
+
+def split_factors(gen, hx, hy, dt):
+    """Dense split factors (decay, jump, coherent) of one interval.
+
+    A and B are the library's memoised noise factors, ``E kron conj(E)``
+    and the jump factor; C is the kernels' ``expm`` of the ``(d^2, d^2)``
+    commutator generator, so ``A @ B @ C`` is the split step without the
+    library's d x d contractions.
+    """
+    e, b, _ = lindblad._noise_factors(gen, dt)
+    coherent = dt * (
+        assemble_hamiltonian_super(gen.drift)
+        + hx * gen.control_comms[0] + hy * gen.control_comms[1]
+    )
+    return kron(e, np.conj(e)), b.toarray(), lindblad._kernels.expm(coherent)
+
+
+def propagate_state(propagator, rho):
+    """Apply a superoperator to a density matrix."""
+    return unres(np.asarray(propagator) @ res(rho))
+
+
+def dissipator(noise):
+    """One qubit's dissipator: the generator's base less ``K(H0)``."""
+    gen = single_qubit_generator(noise)
+    return gen.base - assemble_hamiltonian_super(gen.drift)
+
+
 class TestPulseSequence:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,7 +114,7 @@ class TestPulseSequence:
 
     def test_empty_sequence_allowed(self):
         p = PulseSequence(np.empty(0), np.empty(0), 0.1)
-        assert p.num_pulses == 0 and p.duration == 0.0
+        assert p.num_pulses == 0
 
     @pytest.mark.parametrize("field", ["hx", "hy"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -91,42 +139,40 @@ class TestPulseSequence:
 
 class TestDissipator:
     def test_zero_rate_is_zero_matrix(self):
-        d = assemble_dissipator([(pauli("minus"), 0.0)])
+        d = dissipator(NoiseSpec("amplitude_damping", 0.0, (0,)))
         assert np.array_equal(d, np.zeros((4, 4)))
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_dissipator([])
 
     def test_amplitude_damping_population_rate(self):
         # analytic single-qubit decay: d rho_11 / dt = -gamma
         gamma = 0.7
-        d = assemble_dissipator([(pauli("minus"), gamma)])
+        d = dissipator(NoiseSpec("amplitude_damping", gamma, (0,)))
         drho = unres(d @ res(E11))
         assert abs(drho[1, 1] - (-gamma)) < 1e-14
         assert abs(drho[0, 0] - gamma) < 1e-14
 
     def test_dephasing_coherence_eigenvalue(self):
         gamma = 0.35
-        d = assemble_dissipator([(pauli("z"), gamma)])
+        d = dissipator(NoiseSpec("phase_damping", gamma, (0,)))
         out = d @ res(E01)
         assert np.allclose(out, -2.0 * gamma * res(E01), atol=1e-14)
 
     def test_matches_bruteforce_rhs(self, rng):
-        ops = [
-            (kron(pauli("minus"), np.eye(2)), 0.4),
-            (kron(np.eye(2), pauli("z")), 0.9),
-        ]
-        d = assemble_dissipator(ops)
-        for _ in range(5):
-            rho = random_complex(rng, (4, 4))
-            got = unres(d @ res(rho))
-            want = lindblad_rhs(rho, np.zeros((4, 4)), ops)
-            assert np.allclose(got, want, atol=1e-13)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_dissipator([(pauli("z"), 1.0), (np.eye(4), 1.0)])
+        # the whole generator F(hx, hy) of a coupled chain, against the
+        # master equation written out
+        system = SpinSystem.chain(2)
+        sx, sy = build_controls(system, 1)
+        for noise in (
+            NoiseSpec("amplitude_damping", 0.4, (0,)),
+            NoiseSpec.on_all_sites("phase_damping", 0.9, 2),
+        ):
+            gen = build_generator(system, 1, noise)
+            ops = build_collapse_ops(system, noise)
+            for _ in range(5):
+                hx, hy = rng.normal(size=2)
+                rho = random_complex(rng, (4, 4))
+                got = unres(gen.at(hx, hy) @ res(rho))
+                want = lindblad_rhs(rho, gen.drift + hx * sx + hy * sy, ops)
+                assert np.allclose(got, want, atol=1e-13)
 
 
 class TestHamiltonianSuper:
@@ -165,19 +211,19 @@ def single_qubit_generator(noise=None, coupling_free=True):
 class TestExactPropagation:
     def test_zero_generator_is_identity(self):
         gen = single_qubit_generator()
-        step = step_propagator_exact(gen, 0.0, 0.0, 1.0)
+        step = exact_interval(gen, 0.0, 0.0, 1.0)
         assert np.allclose(step, np.eye(4), atol=1e-15)
 
     def test_amplitude_damping_half_life(self):
         gen = single_qubit_generator(NoiseSpec("amplitude_damping", 1.0, (0,)))
-        step = step_propagator_exact(gen, 0.0, 0.0, np.log(2))
+        step = exact_interval(gen, 0.0, 0.0, np.log(2))
         rho = propagate_state(step, E11)
         assert np.allclose(rho, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_phase_damping_coherence_decay(self):
         gamma, dt = 0.8, 0.6
         gen = single_qubit_generator(NoiseSpec("phase_damping", gamma, (0,)))
-        step = step_propagator_exact(gen, 0.0, 0.0, dt)
+        step = exact_interval(gen, 0.0, 0.0, dt)
         rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         rho = propagate_state(step, rho0)
         assert abs(abs(rho[0, 1]) - 0.5 * np.exp(-2 * gamma * dt)) < 1e-12
@@ -187,7 +233,7 @@ class TestExactPropagation:
             SpinSystem.chain(2), 0, NoiseSpec.on_all_sites("phase_damping", 0.2, 2)
         )
         total = total_propagator_exact(gen, PulseSequence([1.3], [-0.4], 0.25))
-        step = step_propagator_exact(gen, 1.3, -0.4, 0.25)
+        step = exact_step(gen, 1.3, -0.4, 0.25)
         assert np.allclose(total, step, atol=1e-14)
 
     def test_noiseless_matches_unitary_conjugation(self, rng):
@@ -197,7 +243,7 @@ class TestExactPropagation:
         pulses = random_pulses(rng, 6, 0.15)
         got = total_propagator_exact(gen, pulses)
 
-        from spinctrl.model import build_controls, build_drift
+        from spinctrl.model import build_drift
 
         h0 = build_drift(system)
         sx, sy = build_controls(system, 1)
@@ -275,13 +321,16 @@ class TestSplit:
 
     @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     def test_decay_factor_from_d_by_d_exponential(self, kind):
-        # A = expm(dt decay_part) is E kron conj(E) with E = expm(dt K)
+        # A, the exponential of dt (K kron I + I kron conj(K)), is E kron
+        # conj(E) with E = expm(dt K)
         scenario = scenario_catalog()[3]
         noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
         gen = build_generator(scenario.system, scenario.control_site, noise)
         dt = scenario.total_time / scenario.num_pulses
         e = lindblad._noise_factors(gen, dt)[0]
-        dense = lindblad._kernels.expm(dt * gen.decay_part)
+        ident = np.eye(gen.dim)
+        decay_part = kron(gen.decay, ident) + kron(ident, np.conj(gen.decay))
+        dense = scipy.linalg.expm(dt * decay_part)
         assert np.max(np.abs(kron(e, np.conj(e)) - dense)) < 1e-14
 
     def test_noise_factors_built_once_per_generator_and_dt(self, rng, monkeypatch):
@@ -329,7 +378,7 @@ class TestSplit:
         errs = []
         for dt in (0.1, 0.05, 0.025):
             a, b, c = split_factors(gen, 1.4, -0.8, dt)
-            exact = step_propagator_exact(gen, 1.4, -0.8, dt)
+            exact = exact_step(gen, 1.4, -0.8, dt)
             errs.append(np.linalg.norm(a @ b @ c - exact))
         assert 3.3 < errs[0] / errs[1] < 4.7
         assert 3.5 < errs[1] / errs[2] < 4.5
@@ -395,7 +444,10 @@ def dense_split_chain(gen, pulses, target):
     steps, dsteps = [], []
     for hx, hy in zip(pulses.hx, pulses.hy):
         a, b, c = split_factors(gen, hx, hy, dt)
-        coherent = dt * (gen.drift_comm + hx * gen.control_comms[0] + hy * gen.control_comms[1])
+        coherent = dt * (
+            assemble_hamiltonian_super(gen.drift)
+            + hx * gen.control_comms[0] + hy * gen.control_comms[1]
+        )
         steps.append(a @ b @ c)
         dsteps.append(
             [a @ b @ scipy.linalg.expm_frechet(coherent, dt * k, compute_expm=False)
@@ -416,7 +468,7 @@ def dense_first_order_chain(gen, pulses, target):
     ``target`` may be a stack of targets."""
     dt, m = pulses.dt, pulses.num_pulses
     d2 = gen.dim * gen.dim
-    steps = [step_propagator_exact(gen, hx, hy, dt) for hx, hy in zip(pulses.hx, pulses.hy)]
+    steps = [exact_step(gen, hx, hy, dt) for hx, hy in zip(pulses.hx, pulses.hy)]
     grad = np.empty((2 * m,) + np.shape(target)[:-2])
     for k in range(m):
         for c, comm in enumerate(gen.control_comms):
@@ -437,7 +489,7 @@ def catalog_generator_and_pulses(scenario, rng, num_pulses=None):
 class TestSplitKronecker:
     """The split path applies ``U kron conj(U)`` by contraction, and the
     noiseless gradients run on the d x d unitaries; checked against the
-    dense chains of :func:`split_factors` and :func:`step_propagator_exact`."""
+    dense chains of :func:`split_factors` and :func:`exact_step`."""
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_contraction_helpers(self, d, rng):
@@ -674,7 +726,7 @@ class TestSuperopFidelity:
         # diagonal superoperator diag(1, e^-2gt, e^-2gt, 1) against identity
         gamma_t = 0.1
         gen = single_qubit_generator(NoiseSpec("phase_damping", 1.0, (0,)))
-        a = step_propagator_exact(gen, 0.0, 0.0, gamma_t)
+        a = exact_interval(gen, 0.0, 0.0, gamma_t)
         expected = (2 + 2 * np.exp(-2 * gamma_t)) / 4
         assert abs(superop_fidelity(a, np.eye(4), 1) - expected) < 1e-12
 

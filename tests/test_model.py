@@ -68,6 +68,11 @@ class TestSpinSystem:
         with pytest.raises(ValueError):
             SpinSystem(2, ((0, 2, 1.0),))
 
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_strength(self, strength):
+        with pytest.raises(ValueError, match="couplings"):
+            SpinSystem(2, ((0, 1, strength),))
+
 
 class TestDrift:
     def test_two_qubit_spectrum(self):
@@ -106,6 +111,13 @@ class TestControls:
         cx, _ = model.build_controls(SpinSystem.chain(3), 1)
         expected = linalg.kron(np.eye(2), linalg.kron(model.pauli("x"), np.eye(2)))
         assert np.array_equal(cx, expected)
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            NoiseSpec("amplitude_damping", gamma, (0,))
 
 
 class TestCollapseOps:
@@ -179,14 +191,6 @@ class TestCatalog:
             assert s.h_max == 100.0
             assert s.num_pulses == (32 if s.num_qubits == 2 else 128)
 
-    def test_topology_option(self):
-        chain = model.scenario_catalog("chain")[3]
-        triangle = model.scenario_catalog("triangle")[3]
-        assert len(chain.system.couplings) == 2
-        assert len(triangle.system.couplings) == 3
-        with pytest.raises(ValueError):
-            model.scenario_catalog("hypercube")
-
     def test_control_and_ancilla_layout(self):
         by_id = {s.id: s for s in model.scenario_catalog()}
         assert by_id["a"].control_site == 1 and by_id["a"].ancilla_sites == (0,)
@@ -237,6 +241,14 @@ class TestFullTarget:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("name", ["total_time", "h_max"])
+    def test_rejects_non_finite_time_and_bound(self, name, value):
+        fields = dict(num_pulses=1, total_time=1.0, h_max=1.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=name):
+            Scenario("x", SpinSystem.chain(2), 0, np.eye(2), ancilla_sites=(0,), **fields)
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             Scenario(
