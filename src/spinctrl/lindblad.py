@@ -129,11 +129,12 @@ def _read_only(a):
     return a
 
 
-def assemble_hamiltonian_super(h, tol=1e-10):
-    """Commutator superoperator K(H) generating ``-i [H, rho]``."""
+def assemble_hamiltonian_super(h):
+    """Commutator superoperator K(H) generating ``-i [H, rho]``; warns when H
+    is more than 1e-10 away from Hermitian."""
     h = np.asarray(h, dtype=np.complex128)
     defect = np.max(np.abs(h - dagger(h))) if h.size else 0.0
-    if defect > tol:
+    if defect > 1e-10:
         warnings.warn(
             f"Hamiltonian is not Hermitian (defect {defect:.3e})", stacklevel=2
         )
@@ -227,18 +228,13 @@ def _noiseless(gen):
     return not (np.any(gen.decay) or np.any(gen.jump_part))
 
 
-def _coherent_unitaries(gen, pulses):
-    """Interval unitaries ``U_k = exp(-i dt H_k)`` from one batched ``eigh``
-    of the ``(M, d, d)`` stack of Hamiltonians.
-
-    Returns ``(U, w, V, V^dag)``: ``H_k = V_k diag(w_k) V_k^dag`` and ``U_k =
-    V_k exp(-i dt w_k) V_k^dag``.
-    """
-    hx = pulses.hx[:, None, None]
-    hy = pulses.hy[:, None, None]
-    w, v = np.linalg.eigh(gen.drift + hx * gen.controls[0] + hy * gen.controls[1])
-    vh = np.conj(v).swapaxes(-1, -2)
-    return (v * np.exp(-1j * pulses.dt * w)[:, None, :]) @ vh, w, v, vh
+def _interval_unitaries(gen, pulses):
+    """The (M, d, d) stack of interval unitaries ``U_k = exp(-i dt H_k)``,
+    from one ``_kernels.piecewise_steps`` call on the d x d ``-iH``."""
+    return _kernels.piecewise_steps(
+        -1j * gen.drift, -1j * gen.controls[0], -1j * gen.controls[1],
+        pulses.hx, pulses.hy, pulses.dt,
+    )
 
 
 def _kron_conj_left(u, x):
@@ -267,12 +263,13 @@ def split_propagator(gen, pulses):
 
     The chain runs regrouped as in :func:`_fold_decay`: per interval one
     contraction applies ``W_k kron conj(W_k)`` and one sparse product B,
-    and a last contraction applies A.  An empty sequence gives the identity.
+    and a last contraction applies A.  The unitaries ``U_k`` come from
+    :func:`_interval_unitaries`.  An empty sequence gives the identity.
     """
     total = np.eye(gen.dim * gen.dim, dtype=np.complex128)
-    u = _coherent_unitaries(gen, pulses)[0]
-    if not len(u):
+    if not pulses.num_pulses:
         return total
+    u = _interval_unitaries(gen, pulses)
     e, b, _ = _noise_factors(gen, pulses.dt)
     for w in _fold_decay(u, e):
         total = b @ _kron_conj_left(w, total)
@@ -349,10 +346,11 @@ def split_gradient(gen, pulses, target):
     Returns ``(f, grad)`` with ``grad[:M]`` the hx derivatives and
     ``grad[M:]`` the hy derivatives.  The only approximation relative to
     exact evolution is the splitting itself: the coherent factor ``U_k kron
-    conj(U_k)`` is differentiated exactly through the eigendecomposition of
-    the d x d Hamiltonian ``H_k``.  Without collapse operators the split
-    propagator is exact, and the chain runs on the d x d unitaries ``U_k``
-    (GRAPE), so the gradient is also the exact one.
+    conj(U_k)`` is differentiated exactly through one batched ``eigh`` of
+    the (M, d, d) stack of Hamiltonians, ``H_k = V_k diag(w_k) V_k^dag`` and
+    ``U_k = V_k exp(-i dt w_k) V_k^dag``.  Without collapse operators the
+    split propagator is exact, and the chain runs on the d x d unitaries
+    ``U_k`` (GRAPE), so the gradient is also the exact one.
 
     With collapse operators the chain is regrouped as in
     :func:`_fold_decay`, ``dW_k = dU_k E``, and the leading A moves into
@@ -370,7 +368,10 @@ def split_gradient(gen, pulses, target):
     target = _checked_target(gen, target)
     d, dt = gen.dim, pulses.dt
     m, d2 = pulses.num_pulses, d * d
-    u, w, v, vh = _coherent_unitaries(gen, pulses)
+    hx, hy = pulses.hx[:, None, None], pulses.hy[:, None, None]
+    w, v = np.linalg.eigh(gen.drift + hx * gen.controls[0] + hy * gen.controls[1])
+    vh = dagger(v)
+    u = (v * np.exp(-1j * dt * w)[:, None, :]) @ vh
     # dU_k = V ((V^dag dH V) * phi) V^dag, phi the divided differences of
     # exp(-i dt x) at the eigenvalues of H_k
     phi = -1j * dt * _expm_divided_differences(-dt * w)
@@ -405,13 +406,14 @@ def machnes_gradient(gen, pulses, target):
     """Trace fidelity under exact evolution with the first-order gradient.
 
     The step derivative is approximated by ``+dt K(dH/dh) X_k``, which is
-    valid for ``dt`` well below the inverse generator norm; a warning is
-    emitted when the sequence sits outside that regime.  Without collapse
-    operators the exact step is ``U_k kron conj(U_k)``: one
-    ``_kernels.piecewise_steps`` call exponentiates the d x d ``-i dt H_k``,
-    and the gradient runs on those unitaries with the step generator ``dU_k
-    U_k^dag = -i dt dH/dh``, the same for every k (Machnes et al., PRA 84,
-    022305 (2011)), and no backward sweep (:func:`_unitary_gradient`).
+    valid for ``dt`` well below the inverse generator norm.  That is a
+    property of the run's discretisation, so nothing is checked or warned
+    here: call :func:`dt_validity_check` once per run.  Without collapse
+    operators the exact step is ``U_k kron conj(U_k)``, the unitaries come
+    from :func:`_interval_unitaries`, and the gradient runs on them with the
+    step generator ``dU_k U_k^dag = -i dt dH/dh``, the same for every k
+    (Machnes et al., PRA 84, 022305 (2011)), and no backward sweep
+    (:func:`_unitary_gradient`).
 
     With collapse operators the chain runs on the dense steps ``X_k =
     expm(dt F_k)``.  The forward products ``fwd_k = X_{k-1} ... X_0`` are
@@ -421,21 +423,8 @@ def machnes_gradient(gen, pulses, target):
     """
     target = _checked_target(gen, target)
     dt = pulses.dt
-    if pulses.num_pulses:
-        h_peak = float(np.max(np.abs(pulses.genome())))
-        ok, bound = dt_validity_check(gen, h_peak, dt)
-        if not ok:
-            warnings.warn(
-                f"dt = {dt:.3e} exceeds a tenth of the validity bound {bound:.3e}; "
-                "the approximate gradient may be inaccurate",
-                stacklevel=2,
-            )
-
     if _noiseless(gen):
-        u = _kernels.piecewise_steps(
-            -1j * gen.drift, -1j * gen.controls[0], -1j * gen.controls[1],
-            pulses.hx, pulses.hy, dt,
-        )
+        u = _interval_unitaries(gen, pulses)
         return _unitary_gradient(u, -1j * dt * np.stack(gen.controls)[:, None], target)
 
     steps = _kernels.piecewise_steps(
@@ -465,19 +454,12 @@ def dt_validity_check(gen, h_max, dt):
     """Check ``dt`` against the approximate-gradient validity bound.
 
     The bound is the inverse of the exact spectral norm (largest singular
-    value) of the generator at full control amplitude; the check passes
-    when ``dt`` is at most a tenth of it.  Without collapse operators the
-    generator is the commutator ``K(H)``, a normal matrix with eigenvalues
-    ``-i (l_i - l_j)``, so its norm is ``l_max - l_min`` of the d x d
-    Hamiltonian ``H(h_max, h_max)``.
+    value) of the ``(d^2, d^2)`` generator at full control amplitude; the
+    check passes when ``dt`` is at most a tenth of it.  The verdict belongs
+    to a run's discretisation, so call it once per run, not per gradient.
+    Returns ``(ok, bound)``.
     """
-    if _noiseless(gen):
-        w = np.linalg.eigvalsh(
-            gen.drift + h_max * gen.controls[0] + h_max * gen.controls[1]
-        )
-        norm = float(w[-1] - w[0])
-    else:
-        norm = float(np.linalg.norm(gen.at(h_max, h_max), 2))
+    norm = float(np.linalg.norm(gen.at(h_max, h_max), 2))
     bound = math.inf if norm == 0.0 else 1.0 / norm
     return dt <= bound / 10.0, bound
 

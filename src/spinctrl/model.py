@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,15 +102,6 @@ class SpinSystem:
         """Open chain with nearest-neighbour couplings (i, i+1)."""
         return cls(n_qubits, tuple((i, i + 1, strength) for i in range(n_qubits - 1)))
 
-    @classmethod
-    def ring(cls, n_qubits, strength=1.0):
-        """Closed ring; for three qubits this is the triangle graph."""
-        if n_qubits < 3:
-            raise ValueError("a ring needs at least 3 qubits")
-        pairs = [(i, i + 1, strength) for i in range(n_qubits - 1)]
-        pairs.append((0, n_qubits - 1, strength))
-        return cls(n_qubits, tuple(pairs))
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -178,6 +169,9 @@ class Scenario:
     """One benchmark configuration: system, control site, target and split
     into target and ancilla subsystems.
 
+    The target sites are every site outside ``ancilla_sites``, ascending;
+    ``target_unitary`` acts on them in that order.
+
     ``target_unitary`` is kept as a read-only copy, so values derived from a
     scenario, such as :func:`spinctrl.lindblad.fitness_target`, can be
     cached on it.
@@ -191,29 +185,21 @@ class Scenario:
     num_pulses: int
     total_time: float
     h_max: float
-    target_sites: tuple = field(default=None)
 
     def __post_init__(self):
         n = self.system.num_qubits
         ancilla = tuple(sorted(int(s) for s in set(self.ancilla_sites)))
         object.__setattr__(self, "ancilla_sites", ancilla)
-        target_sites = self.target_sites
-        if target_sites is None:
-            target_sites = tuple(s for s in range(n) if s not in ancilla)
-        target_sites = tuple(sorted(int(s) for s in set(target_sites)))
-        object.__setattr__(self, "target_sites", target_sites)
-
-        if set(ancilla) & set(target_sites):
-            raise ValueError("ancilla and target sites overlap")
-        if set(ancilla) | set(target_sites) != set(range(n)):
-            raise ValueError("ancilla and target sites must cover all qubits")
+        bad = [s for s in ancilla if not 0 <= s < n]
+        if bad:
+            raise ValueError(f"ancilla sites {bad} out of range for {n} qubits")
         if not 0 <= self.control_site < n:
             raise ValueError("control site out of range")
 
         u = np.array(self.target_unitary, dtype=np.complex128)
         u.flags.writeable = False
         object.__setattr__(self, "target_unitary", u)
-        d_target = 2 ** len(target_sites)
+        d_target = 2 ** len(self.target_sites)
         if u.shape != (d_target, d_target):
             raise ValueError(
                 f"target unitary is {u.shape}, expected {(d_target, d_target)}"
@@ -225,6 +211,10 @@ class Scenario:
         for name in ("total_time", "h_max"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+
+    @property
+    def target_sites(self):
+        return tuple(s for s in range(self.num_qubits) if s not in self.ancilla_sites)
 
     @property
     def num_qubits(self):

@@ -21,7 +21,6 @@ the cores on the d^2 = 64 scenarios.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -227,20 +226,16 @@ def _usable_cores():
 
 def _fitnesses(evaluate, population, pool, edges):
     """Objective values of the genomes, stored by genome index: the chunks
-    ``edges[w]:edges[w + 1]`` run on ``pool``, or in this thread without
-    one."""
+    ``edges[w]:edges[w + 1]`` run on ``pool``."""
     fits = np.empty(len(population))
 
     def score(start, stop):
         for i in range(start, stop):
             fits[i] = float(evaluate(population[i]))
 
-    if pool is None:
-        score(0, len(population))
-    else:
-        futures = [pool.submit(score, *chunk) for chunk in zip(edges[:-1], edges[1:])]
-        for future in futures:
-            future.result()
+    futures = [pool.submit(score, *chunk) for chunk in zip(edges[:-1], edges[1:])]
+    for future in futures:
+        future.result()
     return fits
 
 
@@ -256,30 +251,26 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
 
     Each generation is scored in one contiguous chunk per worker thread,
     with one worker per core the process may run on and at most one per
-    genome; with one usable core the calling thread scores every genome.
-    So ``obj.evaluate`` must be safe to call from several threads at once.
+    genome, so a one-core machine gets a pool of one.  So ``obj.evaluate``
+    must be safe to call from several threads at once.
     Each fitness is stored by genome index, so the result does not depend
     on the worker count, and an exception raised by the objective
     propagates unchanged.  Keep BLAS pinned to one thread, or the workers'
     BLAS threads oversubscribe the cores.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     n_genes = 2 * num_pulses
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     population = bounds.uniform(rng, (cfg.population_size, n_genes))
     workers = min(_usable_cores(), cfg.population_size)
     edges = [cfg.population_size * w // workers for w in range(workers + 1)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(workers)
-    else:
-        executor = contextlib.nullcontext()
 
     best_genome = None
     best_score = -np.inf
     history = []
 
-    with executor as pool:
+    with ThreadPoolExecutor(workers) as pool:
         for generation in range(cfg.generations):
             fits = _fitnesses(obj.evaluate, population, pool, edges)
             for i in np.flatnonzero(~np.isfinite(fits)):

@@ -53,13 +53,6 @@ class TestSpinSystem:
     def test_chain_default_couplings(self):
         assert SpinSystem.chain(3).couplings == ((0, 1, 1.0), (1, 2, 1.0))
 
-    def test_ring_is_triangle_for_three(self):
-        assert set(c[:2] for c in SpinSystem.ring(3).couplings) == {
-            (0, 1),
-            (1, 2),
-            (0, 2),
-        }
-
     def test_rejects_duplicates_and_bad_pairs(self):
         with pytest.raises(ValueError):
             SpinSystem(2, ((0, 1, 1.0), (0, 1, 2.0)))
@@ -92,7 +85,8 @@ class TestDrift:
         assert abs(np.trace(model.build_drift(SpinSystem.chain(3)))) < 1e-14
 
     def test_hermitian(self):
-        for system in (SpinSystem.chain(2), SpinSystem.chain(3), SpinSystem.ring(3)):
+        triangle = SpinSystem(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
+        for system in (SpinSystem.chain(2), SpinSystem.chain(3), triangle):
             h = model.build_drift(system)
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
@@ -249,18 +243,17 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=name):
             Scenario("x", SpinSystem.chain(2), 0, np.eye(2), ancilla_sites=(0,), **fields)
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
+    def test_ancilla_site_out_of_range(self):
+        with pytest.raises(ValueError, match=r"ancilla sites \[2\] out of range"):
             Scenario(
                 "x",
                 SpinSystem.chain(2),
                 0,
                 np.eye(2),
-                ancilla_sites=(0,),
+                ancilla_sites=(2,),
                 num_pulses=1,
                 total_time=1.0,
                 h_max=1.0,
-                target_sites=(0, 1),
             )
 
     def test_wrong_target_dimension(self):
