@@ -20,6 +20,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import _kernels
 from .linalg import dagger, kron
@@ -60,12 +61,9 @@ class PulseSequence:
         hy = np.atleast_1d(np.asarray(self.hy, dtype=np.float64))
         if hx.ndim != 1 or hy.ndim != 1 or hx.shape != hy.shape:
             raise ValueError("hx and hy must be 1-D arrays of equal length")
-        # a NaN or an infinity anywhere makes the dot product non-finite;
-        # only then is each field checked, which also lets a finite overflow pass
-        if not math.isfinite(hx @ hy):
-            for name, h in (("hx", hx), ("hy", hy)):
-                if not np.isfinite(h).all():
-                    raise ValueError(f"{name} must be finite")
+        for name, h in (("hx", hx), ("hy", hy)):
+            if not np.isfinite(h).all():
+                raise ValueError(f"{name} must be finite")
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and > 0")
         object.__setattr__(self, "hx", hx)
@@ -203,20 +201,17 @@ def _noise_factors(gen, dt):
     returned read-only; the jump factor ``B = expm(dt jump_part)`` and its
     transpose are ``scipy.sparse.csr_array`` (125 of 4096 entries are
     nonzero on a 3-qubit chain with amplitude damping, and B is diagonal
-    with phase damping).  An all-zero part (no collapse operators) gives
-    exactly the identity: the Pade solve leaves ``1 - 1.1e-16`` on the
-    diagonal of ``expm(0)``.  A generator is immutable and hashes by
-    identity.
+    with phase damping).  Both exponentials are ``scipy.linalg.expm``, whose
+    ``expm(0)`` is exactly the identity, so a generator without collapse
+    operators gets exact identity factors.  A generator is immutable and
+    hashes by identity.
     """
     by_dt = _NOISE_FACTORS.setdefault(gen, {})
     factors = by_dt.get(dt)
     if factors is None:
         import scipy.sparse
 
-        e, b = (
-            _kernels.expm(dt * part) if np.any(part) else np.eye(len(part), dtype=np.complex128)
-            for part in (gen.decay, gen.jump_part)
-        )
+        e, b = (scipy.linalg.expm(dt * part) for part in (gen.decay, gen.jump_part))
         e.flags.writeable = False
         b = scipy.sparse.csr_array(b)
         factors = by_dt[dt] = (e, b, b.T.tocsr())

@@ -7,8 +7,8 @@ J = 1, so amplitudes are in units of J and times in units of 1/J.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +26,6 @@ __all__ = [
     "build_collapse_ops",
     "scenario_catalog",
     "scenario_to_dict",
-    "scenario_from_dict",
-    "save_scenario",
-    "load_scenario",
     "NOT_GATE",
     "SWAP_GATE",
 ]
@@ -40,6 +37,14 @@ SWAP_GATE = np.array(
 )
 
 NOISE_KINDS = ("amplitude_damping", "phase_damping")
+
+
+def _index(value, name):
+    """``value`` as an int (NumPy integers pass), else a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def pauli(axis):
@@ -61,6 +66,7 @@ def embed(op, site, n_qubits):
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (2, 2):
         raise ValueError(f"embed expects a 2x2 operator, got {op.shape}")
+    site = _index(site, "site")
     if not 0 <= site < n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
     out = np.eye(1, dtype=np.complex128)
@@ -77,12 +83,13 @@ class SpinSystem:
     couplings: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _index(self.num_qubits, "num_qubits"))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         seen = set()
         normalized = []
         for c in self.couplings:
-            i, j, strength = int(c[0]), int(c[1]), float(c[2])
+            i, j, strength = _index(c[0], "couplings"), _index(c[1], "couplings"), float(c[2])
             if not (0 <= i < j < self.num_qubits):
                 raise ValueError(f"invalid coupling pair ({i}, {j})")
             if not math.isfinite(strength):
@@ -116,7 +123,7 @@ class NoiseSpec:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and >= 0")
-        object.__setattr__(self, "sites", tuple(sorted(int(s) for s in set(self.sites))))
+        object.__setattr__(self, "sites", tuple(sorted({_index(s, "sites") for s in self.sites})))
 
     @classmethod
     def on_all_sites(cls, kind, gamma, n_qubits):
@@ -188,8 +195,10 @@ class Scenario:
 
     def __post_init__(self):
         n = self.system.num_qubits
-        ancilla = tuple(sorted(int(s) for s in set(self.ancilla_sites)))
+        ancilla = tuple(sorted({_index(s, "ancilla_sites") for s in self.ancilla_sites}))
         object.__setattr__(self, "ancilla_sites", ancilla)
+        for name in ("control_site", "num_pulses"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         bad = [s for s in ancilla if not 0 <= s < n]
         if bad:
             raise ValueError(f"ancilla sites {bad} out of range for {n} qubits")
@@ -274,14 +283,9 @@ def _matrix_to_lists(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
-def _matrix_from_lists(rows):
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-        dtype=np.complex128,
-    )
-
-
 def scenario_to_dict(scenario, noise=None):
+    """JSON-ready form of a scenario and its noise; complex entries are
+    ``[re, im]`` pairs."""
     doc = {
         "id": scenario.id,
         "num_qubits": scenario.num_qubits,
@@ -300,36 +304,3 @@ def scenario_to_dict(scenario, noise=None):
             "sites": list(noise.sites),
         }
     return doc
-
-
-def scenario_from_dict(doc):
-    """Rebuild ``(Scenario, NoiseSpec or None)`` from its dict form."""
-    system = SpinSystem(
-        int(doc["num_qubits"]), tuple(tuple(c) for c in doc.get("couplings", ()))
-    )
-    scenario = Scenario(
-        id=str(doc["id"]),
-        system=system,
-        control_site=int(doc["control_site"]),
-        target_unitary=_matrix_from_lists(doc["target"]),
-        ancilla_sites=tuple(doc.get("ancilla_sites", ())),
-        num_pulses=int(doc["num_pulses"]),
-        total_time=float(doc["total_time"]),
-        h_max=float(doc["h_max"]),
-    )
-    noise = None
-    if "noise" in doc:
-        nd = doc["noise"]
-        noise = NoiseSpec(str(nd["kind"]), float(nd["gamma"]), tuple(nd.get("sites", ())))
-    return scenario, noise
-
-
-def save_scenario(scenario, path, noise=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario, noise), fh, indent=2)
-        fh.write("\n")
-
-
-def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))

@@ -8,25 +8,28 @@ GA follows the classic generational loop: two parents by tournament
 selection, two-point crossover, per-gene reset mutation, repeat until the
 next population is full, with optional elitism.
 
-The GA scores each generation on every core the process may run on, one
-worker thread per core and at most one per genome (master-worker fitness
-evaluation; Cantu-Paz, *Efficient and Accurate Parallel Genetic
-Algorithms*, Kluwer 2000).  Its objective may therefore be called from
-several threads at once.  Every objective built from this package is a
-pure function of its genome, and the compiled kernels release the
-interpreter lock, so the workers overlap.  Keep BLAS pinned to one thread
-(``OPENBLAS_NUM_THREADS=1``): workers times BLAS threads would oversubscribe
-the cores on the d^2 = 64 scenarios.
+The GA scores each generation on every core the process may run on: each
+genome is one task on a pool of one worker thread per core, at most one
+per genome (master-worker fitness evaluation; Cantu-Paz, *Efficient and
+Accurate Parallel Genetic Algorithms*, Kluwer 2000).  Its objective may
+therefore be called from several threads at once.  Every objective built
+from this package is a pure function of its genome, and the compiled
+kernels release the interpreter lock, so the workers overlap.  Keep BLAS
+pinned to one thread (``OPENBLAS_NUM_THREADS=1``): workers times BLAS
+threads would oversubscribe the cores on the d^2 = 64 scenarios.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .model import _index
 
 __all__ = [
     "Objective",
@@ -76,6 +79,8 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "tournament_k", "elitism"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and >= 4")
         if not 0.0 <= self.keep_probability <= 1.0:
@@ -88,19 +93,19 @@ class GaConfig:
             raise ValueError("generations must be >= 1")
 
 
-def _two_loop_direction(grad, s_hist, y_hist):
-    """Inverse-Hessian product of standard two-loop recursion."""
+def _two_loop_direction(grad, pairs):
+    """Inverse-Hessian product by two-loop recursion over ``(s, y)`` pairs, oldest first."""
     q = grad.copy()
     alphas = []
-    rhos = [1.0 / float(np.dot(y, s)) for s, y in zip(s_hist, y_hist)]
-    for (s, y), rho in zip(reversed(list(zip(s_hist, y_hist))), reversed(rhos)):
+    rhos = [1.0 / float(np.dot(y, s)) for s, y in pairs]
+    for (s, y), rho in zip(reversed(pairs), reversed(rhos)):
         a = rho * float(np.dot(s, q))
         alphas.append(a)
         q -= a * y
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
+    if pairs:
+        s, y = pairs[-1]
         q *= float(np.dot(s, y)) / float(np.dot(y, y))
-    for (s, y), rho, a in zip(zip(s_hist, y_hist), rhos, reversed(alphas)):
+    for (s, y), rho, a in zip(pairs, rhos, reversed(alphas)):
         b = rho * float(np.dot(y, q))
         q += (a - b) * s
     return q
@@ -126,12 +131,11 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
 
     x = bounds.clip(np.asarray(start, dtype=np.float64).copy())
     phi, gphi = eval_neg(x)
-    s_hist, y_hist = [], []
+    pairs = deque(maxlen=10)  # the oldest pair drops out first
     iters = 0
 
-    for _ in range(max_iters):
-        iters += 1
-        d = -_two_loop_direction(gphi, s_hist, y_hist)
+    for iters in range(1, max_iters + 1):
+        d = -_two_loop_direction(gphi, pairs)
         if float(np.dot(d, gphi)) >= 0.0:
             d = -gphi  # recovered steepest ascent when curvature is unusable
 
@@ -151,15 +155,10 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
         if not accepted:
             break
 
-        s = xn - x
-        y = gn - gphi
+        s, y = step, gn - gphi
         sy = float(np.dot(s, y))
         if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > 10:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            pairs.append((s, y))
 
         prev_phi = phi
         x, phi, gphi = xn, phin, gn
@@ -224,21 +223,6 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _fitnesses(evaluate, population, pool, edges):
-    """Objective values of the genomes, stored by genome index: the chunks
-    ``edges[w]:edges[w + 1]`` run on ``pool``."""
-    fits = np.empty(len(population))
-
-    def score(start, stop):
-        for i in range(start, stop):
-            fits[i] = float(evaluate(population[i]))
-
-    futures = [pool.submit(score, *chunk) for chunk in zip(edges[:-1], edges[1:])]
-    for future in futures:
-        future.result()
-    return fits
-
-
 def ga_maximize(obj, bounds, num_pulses, cfg):
     """Generational GA over genomes of ``2 * num_pulses`` reals.
 
@@ -249,30 +233,29 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
     scores)``.  Raises ``RuntimeError`` when no genome of any generation has
     a finite fitness.
 
-    Each generation is scored in one contiguous chunk per worker thread,
-    with one worker per core the process may run on and at most one per
-    genome, so a one-core machine gets a pool of one.  So ``obj.evaluate``
-    must be safe to call from several threads at once.
-    Each fitness is stored by genome index, so the result does not depend
-    on the worker count, and an exception raised by the objective
-    propagates unchanged.  Keep BLAS pinned to one thread, or the workers'
-    BLAS threads oversubscribe the cores.
+    Each genome is one task on a thread pool of one worker per core the
+    process may run on, at most one per genome, so ``obj.evaluate`` must be
+    safe to call from several threads at once.  The pool's ``map`` returns
+    the fitnesses in genome order, so the result does not depend on the
+    worker count, and an exception raised by the objective propagates
+    unchanged.  Keep BLAS pinned to one thread, or the workers' BLAS threads
+    oversubscribe the cores.  The bounds must be finite.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    n_genes = 2 * num_pulses
+    if not np.isfinite([bounds.lower, bounds.upper]).all():
+        raise ValueError("ga_maximize needs finite bounds")
+    n_genes = 2 * _index(num_pulses, "num_pulses")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     population = bounds.uniform(rng, (cfg.population_size, n_genes))
-    workers = min(_usable_cores(), cfg.population_size)
-    edges = [cfg.population_size * w // workers for w in range(workers + 1)]
 
     best_genome = None
     best_score = -np.inf
     history = []
 
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(min(_usable_cores(), cfg.population_size)) as pool:
         for generation in range(cfg.generations):
-            fits = _fitnesses(obj.evaluate, population, pool, edges)
+            fits = np.fromiter(pool.map(obj.evaluate, population), float, len(population))
             for i in np.flatnonzero(~np.isfinite(fits)):
                 warnings.warn(
                     f"discarding genome {i} with non-finite fitness {float(fits[i])}",
@@ -280,16 +263,15 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
                 )
                 fits[i] = -np.inf
 
-            gen_best = int(min(range(cfg.population_size), key=lambda i: (-fits[i], i)))
-            history.append(float(fits[gen_best]))
-            if fits[gen_best] > best_score:
-                best_score = float(fits[gen_best])
-                best_genome = population[gen_best].copy()
+            order = sorted(range(cfg.population_size), key=lambda i: (-fits[i], i))
+            best = order[0]
+            history.append(float(fits[best]))
+            if fits[best] > best_score:
+                best_score, best_genome = float(fits[best]), population[best].copy()
 
             if generation == cfg.generations - 1:
                 break
 
-            order = sorted(range(cfg.population_size), key=lambda i: (-fits[i], i))
             scored = list(zip(population, fits))
             offspring = [population[i].copy() for i in order[: cfg.elitism]]
             while len(offspring) < cfg.population_size:

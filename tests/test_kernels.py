@@ -1,19 +1,24 @@
 """Backend parity: the compiled kernels must match the NumPy fallback."""
 
 import os
+import re
 import sys
 import sysconfig
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_complex
+from spinctrl import _kernels
 from spinctrl._kernels import _pykernels
 
 KERNEL_API = ("expm", "piecewise_steps", "piecewise_total")
+KERNELS = Path(_kernels.__file__).parent
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @pytest.fixture(params=["pykernels", "cykernels"])
@@ -28,6 +33,24 @@ def test_compiled_backend_is_built(cykernels):
     assert cykernels.__file__.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
     for name in KERNEL_API:
         assert callable(getattr(cykernels, name)), name
+
+
+def test_public_names():
+    # the package's other exponentials call scipy.linalg.expm directly
+    assert _kernels.__all__ == ["BACKEND", "piecewise_steps", "piecewise_total"]
+
+
+def test_compiled_c_matches_pyx():
+    # the committed C quotes each .pyx line it was generated from, so an
+    # edit to the .pyx without regenerating the C shows up as a mismatch
+    pyx = (KERNELS / "_cykernels.pyx").read_text().splitlines()
+    c = (KERNELS / "_cykernels.c").read_text()
+    marker = "             # <<<<<<<<<<<<<<"
+    blocks = re.findall(r'/\* "spinctrl/_kernels/_cykernels\.pyx":(\d+)\n(.*?)\*/', c, re.S)
+    assert len(blocks) > 100
+    for line, body in blocks:
+        quoted = [row[3:-len(marker)] for row in body.splitlines() if row.endswith(marker)]
+        assert quoted == [pyx[int(line) - 1]], f"_cykernels.pyx:{line}"
 
 
 class TestExpm:
@@ -53,6 +76,49 @@ class TestExpm:
         snapshot = a.copy()
         backend.expm(a)
         assert np.array_equal(a, snapshot)
+
+    def test_zero_matrix(self, backend):
+        assert np.allclose(backend.expm(np.zeros((2, 2))), np.eye(2), atol=1e-15)
+
+    def test_pauli_rotation(self, backend):
+        # cos(pi/2) I - i sin(pi/2) sigma_x
+        got = backend.expm(-1j * (np.pi / 2) * SX)
+        assert np.allclose(got, -1j * SX, atol=1e-13)
+
+    def test_diagonal_scalar_oracle(self, backend, rng):
+        for _ in range(10):
+            a, b = random_complex(rng, 2)
+            got = backend.expm(np.diag([a, b]))
+            assert np.allclose(got, np.diag([np.exp(a), np.exp(b)]), atol=1e-12)
+
+    def test_inverse(self, backend, rng):
+        for _ in range(5):
+            m = random_complex(rng, (6, 6))
+            m *= 10.0 / np.max(np.sum(np.abs(m), axis=0))
+            prod = backend.expm(m) @ backend.expm(-m)
+            assert np.max(np.abs(prod - np.eye(6))) < 1e-10
+
+    def test_semigroup(self, backend, rng):
+        for _ in range(5):
+            m = random_complex(rng, (5, 5))
+            s, t = rng.uniform(0.1, 2.0, size=2)
+            lhs = backend.expm((s + t) * m)
+            rhs = backend.expm(s * m) @ backend.expm(t * m)
+            assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    def test_large_norm_unitary(self, backend, rng):
+        # anti-Hermitian input with 1-norm near 1e4: compare against the
+        # eigendecomposition oracle
+        h = random_complex(rng, (8, 8))
+        h = (h + h.conj().T) / 2
+        m = -1j * h * (1e4 / np.max(np.sum(np.abs(-1j * h), axis=0)))
+        w, v = np.linalg.eigh(1j * m)
+        oracle = (v * np.exp(-1j * w)) @ v.conj().T
+        assert np.max(np.abs(backend.expm(m) - oracle)) < 1e-10
+
+    def test_rejects_non_square(self, backend):
+        with pytest.raises(ValueError):
+            backend.expm(np.zeros((2, 3)))
 
 
 class TestChains:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import partial_trace, random_complex, res, unres
 from spinctrl import linalg
-from spinctrl._kernels import _pykernels
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -59,66 +58,6 @@ class TestKron:
             s * linalg.kron(a, c) + t * linalg.kron(b, c),
             atol=1e-12,
         )
-
-
-@pytest.fixture
-def backends(request):
-    """Both kernel backends: the NumPy/SciPy fallback and the compiled core."""
-    return [_pykernels, request.getfixturevalue("cykernels")]
-
-
-class TestExpm:
-    """``_kernels.expm`` on each backend."""
-
-    def test_zero_matrix(self, backends):
-        for backend in backends:
-            assert np.allclose(backend.expm(np.zeros((2, 2))), np.eye(2), atol=1e-15)
-
-    def test_pauli_rotation(self, backends):
-        # cos(pi/2) I - i sin(pi/2) sigma_x
-        for backend in backends:
-            got = backend.expm(-1j * (np.pi / 2) * SX)
-            assert np.allclose(got, -1j * SX, atol=1e-13)
-
-    def test_diagonal_scalar_oracle(self, backends, rng):
-        for _ in range(10):
-            a, b = random_complex(rng, 2)
-            for backend in backends:
-                got = backend.expm(np.diag([a, b]))
-                assert np.allclose(got, np.diag([np.exp(a), np.exp(b)]), atol=1e-12)
-
-    def test_inverse(self, backends, rng):
-        for _ in range(5):
-            m = random_complex(rng, (6, 6))
-            m *= 10.0 / np.max(np.sum(np.abs(m), axis=0))
-            for backend in backends:
-                prod = backend.expm(m) @ backend.expm(-m)
-                assert np.max(np.abs(prod - np.eye(6))) < 1e-10
-
-    def test_semigroup(self, backends, rng):
-        for _ in range(5):
-            m = random_complex(rng, (5, 5))
-            s, t = rng.uniform(0.1, 2.0, size=2)
-            for backend in backends:
-                lhs = backend.expm((s + t) * m)
-                rhs = backend.expm(s * m) @ backend.expm(t * m)
-                assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_large_norm_unitary(self, backends, rng):
-        # anti-Hermitian input with 1-norm near 1e4: compare against the
-        # eigendecomposition oracle
-        h = random_complex(rng, (8, 8))
-        h = (h + h.conj().T) / 2
-        m = -1j * h * (1e4 / np.max(np.sum(np.abs(-1j * h), axis=0)))
-        w, v = np.linalg.eigh(1j * m)
-        oracle = (v * np.exp(-1j * w)) @ v.conj().T
-        for backend in backends:
-            assert np.max(np.abs(backend.expm(m) - oracle)) < 1e-10
-
-    def test_rejects_non_square(self, backends):
-        for backend in backends:
-            with pytest.raises(ValueError):
-                backend.expm(np.zeros((2, 3)))
 
 
 class TestRes:

@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -16,7 +17,6 @@ from conftest import (
     unres,
 )
 from spinctrl import lindblad
-from spinctrl._kernels import _pykernels
 from spinctrl.lindblad import (
     PulseSequence,
     assemble_hamiltonian_super,
@@ -77,7 +77,7 @@ def split_factors(gen, hx, hy, dt):
     """Dense split factors (decay, jump, coherent) of one interval.
 
     A and B are the library's memoised noise factors, ``E kron conj(E)``
-    and the jump factor; C is the kernels' ``expm`` of the ``(d^2, d^2)``
+    and the jump factor; C is SciPy's ``expm`` of the ``(d^2, d^2)``
     commutator generator, so ``A @ B @ C`` is the split step without the
     library's d x d contractions.
     """
@@ -86,7 +86,20 @@ def split_factors(gen, hx, hy, dt):
         assemble_hamiltonian_super(gen.drift)
         + hx * gen.control_comms[0] + hy * gen.control_comms[1]
     )
-    return kron(e, np.conj(e)), b.toarray(), lindblad._kernels.expm(coherent)
+    return kron(e, np.conj(e)), b.toarray(), scipy.linalg.expm(coherent)
+
+
+def forbid_lindblad_expm(monkeypatch, message):
+    """Make the library's own calls of ``scipy.linalg.expm`` raise; the calls
+    of the NumPy kernel backend still run."""
+    expm = scipy.linalg.expm
+
+    def guarded(a):
+        if sys._getframe(1).f_globals["__name__"] == lindblad.__name__:
+            raise AssertionError(message)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", guarded)
 
 
 def propagate_state(propagator, rho):
@@ -126,7 +139,6 @@ class TestPulseSequence:
         with pytest.raises(ValueError, match=field):
             PulseSequence.from_genome(h["hx"] + h["hy"], 0.1)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_accepts_finite_amplitudes_whose_product_overflows(self):
         p = PulseSequence([1e200, 0.0], [1e200, 1.0], 0.1)
         assert p.hx[0] == 1e200
@@ -307,18 +319,6 @@ class TestSplit:
         assert np.array_equal(a, np.eye(16))
         assert np.array_equal(b, np.eye(16))
 
-    @pytest.mark.parametrize("kernels", ["pykernels", "cykernels"])
-    def test_noiseless_factors_are_identity_on_each_backend(
-        self, kernels, request, monkeypatch
-    ):
-        impl = _pykernels if kernels == "pykernels" else request.getfixturevalue(kernels)
-        monkeypatch.setattr(lindblad._kernels, "expm", impl.expm)
-        gen = build_generator(SpinSystem.chain(2), 0, None)
-        a, b, c = split_factors(gen, 1.0, 2.0, 0.3)
-        assert np.array_equal(a, np.eye(16))
-        assert np.array_equal(b, np.eye(16))
-        assert np.array_equal(c, impl.expm(0.3 * gen.at(1.0, 2.0)))
-
     @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     def test_decay_factor_from_d_by_d_exponential(self, kind):
         # A, the exponential of dt (K kron I + I kron conj(K)), is E kron
@@ -343,11 +343,9 @@ class TestSplit:
         total = split_propagator(gen, pulses)
         factors = lindblad._noise_factors(gen, pulses.dt)
 
-        def rebuilt(a):
-            raise AssertionError("noise factors rebuilt")
-
-        # the noise factors are the only exponentials of the split path
-        monkeypatch.setattr(lindblad._kernels, "expm", rebuilt)
+        # the noise factors are the split path's only exponentials outside
+        # the kernels
+        forbid_lindblad_expm(monkeypatch, "noise factors rebuilt")
         assert lindblad._noise_factors(gen, pulses.dt) is factors
         again = split_gradient(gen, pulses, target)
         assert again[0] == fidelity and np.array_equal(again[1], grad)
@@ -582,11 +580,8 @@ class TestSplitKronecker:
             calls.append(np.shape(base))
             return unitary_steps(base, *args)
 
-        def dense(*args):
-            raise AssertionError("dense kernel called on a noiseless chain")
-
         monkeypatch.setattr(lindblad._kernels, "piecewise_steps", steps)
-        monkeypatch.setattr(lindblad._kernels, "expm", dense)
+        forbid_lindblad_expm(monkeypatch, "dense kernel called on a noiseless chain")
         target = target_superoperator(scenario)
         split_gradient(gen, pulses, target)
         assert calls == []

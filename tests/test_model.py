@@ -48,6 +48,11 @@ class TestEmbed:
         with pytest.raises(ValueError):
             model.embed(np.eye(2), 2, 2)
 
+    def test_rejects_non_integer_site(self):
+        # a site of 0.5 would match no slot and embed the identity
+        with pytest.raises(ValueError, match="site"):
+            model.embed(model.pauli("x"), 0.5, 2)
+
 
 class TestSpinSystem:
     def test_chain_default_couplings(self):
@@ -60,6 +65,14 @@ class TestSpinSystem:
             SpinSystem(2, ((1, 0, 1.0),))
         with pytest.raises(ValueError):
             SpinSystem(2, ((0, 2, 1.0),))
+
+    def test_rejects_non_integer_coupling_sites(self):
+        with pytest.raises(ValueError, match="couplings"):
+            SpinSystem(3, ((0.2, 1.9, 1.0),))
+
+    def test_rejects_non_integer_num_qubits(self):
+        with pytest.raises(ValueError, match="num_qubits"):
+            SpinSystem(2.5)
 
     @pytest.mark.parametrize("strength", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_strength(self, strength):
@@ -112,6 +125,11 @@ class TestNoiseSpec:
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             NoiseSpec("amplitude_damping", gamma, (0,))
+
+
+    def test_rejects_non_integer_sites(self):
+        with pytest.raises(ValueError, match="sites"):
+            NoiseSpec("phase_damping", 0.1, (0.7, 1))
 
 
 class TestCollapseOps:
@@ -243,6 +261,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=name):
             Scenario("x", SpinSystem.chain(2), 0, np.eye(2), ancilla_sites=(0,), **fields)
 
+    @pytest.mark.parametrize("name, value", [
+        ("control_site", 0.5), ("num_pulses", 32.5), ("ancilla_sites", (0.6,)),
+    ])
+    def test_rejects_non_integer_sites_and_counts(self, name, value):
+        fields = dict(control_site=1, ancilla_sites=(0,), num_pulses=1)
+        fields[name] = value
+        with pytest.raises(ValueError, match=name):
+            Scenario("x", SpinSystem.chain(2), target_unitary=np.eye(2),
+                     total_time=1.0, h_max=1.0, **fields)
+
+    def test_numpy_integers_pass(self):
+        scenario = Scenario("x", SpinSystem.chain(2), np.int64(1), np.eye(2),
+                            (np.int32(0),), num_pulses=np.int64(3), total_time=1.0, h_max=1.0)
+        assert scenario.control_site == 1 and type(scenario.control_site) is int
+        assert scenario.ancilla_sites == (0,) and scenario.num_pulses == 3
+
     def test_ancilla_site_out_of_range(self):
         with pytest.raises(ValueError, match=r"ancilla sites \[2\] out of range"):
             Scenario(
@@ -301,30 +335,27 @@ class TestScenarioValidation:
 
 
 class TestSerialization:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
+        # the dict survives a JSON round trip with every field of the scenario
         scenario = model.scenario_catalog()[4]
         noise = NoiseSpec("amplitude_damping", 0.25, (0, 1, 2))
-        path = tmp_path / "scenario_e.json"
-        model.save_scenario(scenario, path, noise=noise)
+        doc = json.loads(json.dumps(model.scenario_to_dict(scenario, noise)))
+        assert doc["id"] == scenario.id
+        assert doc["num_qubits"] == scenario.num_qubits
+        assert SpinSystem(doc["num_qubits"], tuple(map(tuple, doc["couplings"]))) == scenario.system
+        assert doc["control_site"] == scenario.control_site
+        assert tuple(doc["ancilla_sites"]) == scenario.ancilla_sites
+        assert doc["num_pulses"] == scenario.num_pulses
+        assert doc["total_time"] == scenario.total_time
+        assert doc["h_max"] == scenario.h_max
+        target = np.array([[complex(*entry) for entry in row] for row in doc["target"]])
+        assert np.array_equal(target, scenario.target_unitary)
+        assert doc["noise"] == {"kind": noise.kind, "gamma": noise.gamma, "sites": [0, 1, 2]}
 
-        loaded, loaded_noise = model.load_scenario(path)
-        assert loaded.id == scenario.id
-        assert loaded.system == scenario.system
-        assert loaded.control_site == scenario.control_site
-        assert loaded.ancilla_sites == scenario.ancilla_sites
-        assert loaded.target_sites == scenario.target_sites
-        assert loaded.num_pulses == scenario.num_pulses
-        assert loaded.total_time == scenario.total_time
-        assert loaded.h_max == scenario.h_max
-        assert np.array_equal(loaded.target_unitary, scenario.target_unitary)
-        assert loaded_noise == noise
-
-    def test_field_names(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        model.save_scenario(
-            model.scenario_catalog()[0], path, NoiseSpec("phase_damping", 0.1, (0, 1))
+    def test_field_names(self):
+        doc = model.scenario_to_dict(
+            model.scenario_catalog()[0], NoiseSpec("phase_damping", 0.1, (0, 1))
         )
-        doc = json.loads(path.read_text())
         assert set(doc) == {
             "id",
             "num_qubits",
@@ -339,8 +370,5 @@ class TestSerialization:
         }
         assert set(doc["noise"]) == {"kind", "gamma", "sites"}
 
-    def test_noise_optional(self, tmp_path):
-        path = tmp_path / "bare.json"
-        model.save_scenario(model.scenario_catalog()[1], path)
-        _, noise = model.load_scenario(path)
-        assert noise is None
+    def test_noise_optional(self):
+        assert "noise" not in model.scenario_to_dict(model.scenario_catalog()[1])

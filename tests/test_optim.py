@@ -59,6 +59,13 @@ class TestLbfgs:
         assert len(calls) <= 21
         assert np.array_equal(x, start) and score == sphere(start)
 
+    def test_accepts_non_finite_bounds(self, rng):
+        # unlike the GA, which draws its genomes in the bounds
+        center = np.array([0.3, -0.7])
+        objective = quadratic_objective(np.ones(2), center)
+        x, _, _ = lbfgs_b_maximize(objective, Bounds(-np.inf, np.inf), rng.uniform(-1, 1, 2))
+        assert np.max(np.abs(x - center)) < 1e-6
+
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "concurrent.futures.thread"])
 def test_import_leaves_module_unloaded(module):
@@ -139,6 +146,24 @@ class TestGa:
         with pytest.warns(UserWarning, match="non-finite fitness nan"):
             with pytest.raises(RuntimeError, match="no genome had a finite fitness in 4 generations"):
                 ga_maximize(objective, Bounds(-2.0, 2.0), 3, self.CONFIG)
+
+    @pytest.mark.parametrize("name", ["population_size", "generations", "tournament_k", "elitism"])
+    def test_config_rejects_non_integer_counts(self, name):
+        fields = dict(population_size=8, generations=4, tournament_k=3, elitism=2)
+        fields[name] += 0.5
+        with pytest.raises(ValueError, match=name):
+            GaConfig(**fields)
+        fields[name] = np.int64(fields[name] - 0.5)  # NumPy integers pass
+        assert type(getattr(GaConfig(**fields), name)) is int
+
+    def test_rejects_non_integer_num_pulses(self):
+        with pytest.raises(ValueError, match="num_pulses"):
+            ga_maximize(Objective(evaluate=sphere), Bounds(-2.0, 2.0), 2.5, self.CONFIG)
+
+    @pytest.mark.parametrize("bounds", [(-np.inf, np.inf), (-1.0, np.inf), (-np.inf, 1.0)])
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="finite bounds"):
+            ga_maximize(Objective(evaluate=sphere), Bounds(*bounds), 3, self.CONFIG)
 
 
 class TestGaWorkers:
