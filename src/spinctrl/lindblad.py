@@ -349,16 +349,26 @@ def split_gradient(gen, pulses, target):
 
     With collapse operators the chain is regrouped as in
     :func:`_fold_decay`, ``dW_k = dU_k E``, and the leading A moves into
-    the target as ``A^dag T``.  Every map of the chain is unchanged by
-    ``sigma(X) = P conj(X) P``, P the swap of the two tensor factors, so
-    the target is replaced by ``T_h = (T + sigma(T)) / 2``, which leaves
-    ``Re Tr(T^dag Y)`` unchanged for every such Y.  Then the ``W kron
-    conj(dW)`` half of each step derivative gives the same as the ``dW kron
-    conj(W)`` half, and the gradient is ``2 Re sum(dW_k * q_k)`` with the d
-    x d ``q_k`` one contraction of the stored forward product with the
-    backward one, which is carried transposed so that every W acts from the
-    left.  Per interval that is a few d x d by d x d^2 products and one
-    sparse product with B.
+    the target as ``A^dag T``.  Every map of the chain, and each step
+    derivative ``dW kron conj(W) + W kron conj(dW)``, is unchanged by
+    ``sigma(X) = P conj(X) P``, P the swap of the two tensor factors: it
+    maps Hermitian matrices to Hermitian matrices.  So the target is
+    replaced by ``T_h = (T + sigma(T)) / 2``, which leaves ``Re Tr(T^dag
+    Y)`` unchanged for every such Y, and then input column (e, c) of the
+    overlap is the complex conjugate of column (c, e).  Both sweeps run
+    only on the d(d+1)/2 input columns with c <= e, weighted 1 on the
+    diagonal and 2 off it (Schulte-Herbrueggen et al., J. Phys. B 44,
+    154013 (2011)).
+
+    The halves ``dW kron conj(W)`` and ``W kron conj(dW)`` of a step
+    derivative are each other's images under sigma, so neither alone is
+    sigma-invariant and on a column subset both are needed: the gradient
+    is ``Re sum(dW_k * (q_k + conj(p_k)))`` with the d x d ``q_k`` (dW on
+    the ket factor) and ``p_k`` (conj(dW) on the bra factor), each one
+    contraction of the stored forward product with the backward one.  The
+    backward product is carried transposed so that every W acts from the
+    left.  Per interval that is a few d x d by d x d(d+1)/2 products and
+    one sparse product with B.
     """
     target = _checked_target(gen, target)
     d, dt = gen.dim, pulses.dt
@@ -376,25 +386,37 @@ def split_gradient(gen, pulses, target):
     e, b, b_t = _noise_factors(gen, dt)
     w, dw = _fold_decay(u, e), _fold_decay(du, e)
     t = _kron_conj_left(dagger(e), target)
-    fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
-    fwd[0] = np.eye(d2, dtype=np.complex128)
+    # the kept input columns x = (c, e), c <= e, as indices into d^2
+    rows, cols = np.triu_indices(d)
+    kept = rows * d + cols
+    n = kept.size
+    fwd = np.empty((m + 1, d2, n), dtype=np.complex128)
+    fwd[0] = np.eye(d2, dtype=np.complex128)[:, kept]
     for k in range(m):
         fwd[k + 1] = b @ _kron_conj_left(w[k], fwd[k])
-    fidelity = float(np.vdot(t, fwd[m]).real) / d2
 
-    # bt[(a, b), x] is the transposed product of T_h^dag / d^2 and the steps
-    # after interval k, B included; conj(sigma(T)) = P T P
+    # conj(T_h) / d^2 on the kept columns, weighted 1 and 2: conj(t) +
+    # t_swap is 2 conj(T_h), since conj(sigma(T)) = P T P
     t_swap = t.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2)
-    bt = b_t @ ((np.conj(t) + t_swap) / (2 * d2))
+    th = (np.conj(t[:, kept]) + t_swap[:, kept]) * (np.where(rows == cols, 0.5, 1.0) / d2)
+    fidelity = float(np.sum(th * fwd[m]).real)
+    # bt[(a, b), x] is the transposed product of the weighted T_h^dag / d^2
+    # and the steps after interval k, B included
+    bt = b_t @ th
     q = np.empty((m, d, d), dtype=np.complex128)
     for k in range(m - 1, -1, -1):
+        f = fwd[k].reshape(d, d, n)
         # h[a, e, x] = sum_b conj(W)[b, e] bt[(a, b), x], and q_k[a, c] =
         # sum_(e, x) h[a, e, x] fwd_k[(c, e), x]
-        h = (np.conj(w[k]).T @ bt.reshape(d, d, d2)).reshape(d, d * d2)
-        q[k] = h @ fwd[k].reshape(d, d * d2).T
+        h = (np.conj(w[k]).T @ bt.reshape(d, d, n)).reshape(d, d * n)
+        q[k] = h @ f.reshape(d, d * n).T
+        # g[c, b, x] = sum_a W[a, c] bt[(a, b), x], and p_k[b, e] =
+        # sum_(c, x) g[c, b, x] fwd_k[(c, e), x]
+        g = (w[k].T @ bt.reshape(d, d * n)).reshape(d, d, n)
+        q[k] += np.conj(np.matmul(g, f.transpose(0, 2, 1)).sum(0))
         if k:
-            bt = b_t @ (w[k].T @ h).reshape(d2, d2)
-    return fidelity, 2 * np.einsum("ckij,kij->ck", dw, q).real.reshape(-1)
+            bt = b_t @ (w[k].T @ h).reshape(d2, n)
+    return fidelity, np.einsum("ckij,kij->ck", dw, q).real.reshape(-1)
 
 
 def machnes_gradient(gen, pulses, target):

@@ -79,7 +79,7 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population_size", "generations", "tournament_k", "elitism"):
+        for name in ("population_size", "generations", "tournament_k", "elitism", "seed"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and >= 4")
@@ -91,6 +91,8 @@ class GaConfig:
             raise ValueError("elitism must be < population_size")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _two_loop_direction(grad, pairs):
@@ -116,10 +118,14 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
 
     Terminates when the projected-gradient infinity norm drops to 1e-8, on
     a relative score change below 1e-12, when a line search fails, or after
-    ``max_iters`` iterations.  Returns ``(point, score, iterations)``.
+    ``max_iters`` iterations; with ``max_iters=0`` it returns the clipped
+    start.  Returns ``(point, score, iterations)``.
     """
     if obj.evaluate_with_gradient is None:
         raise ValueError("lbfgs_b_maximize requires an objective with gradients")
+    max_iters = _index(max_iters, "max_iters")
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
 
     def eval_neg(x):
         score, grad = obj.evaluate_with_gradient(x)
@@ -245,9 +251,11 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
 
     if not np.isfinite([bounds.lower, bounds.upper]).all():
         raise ValueError("ga_maximize needs finite bounds")
-    n_genes = 2 * _index(num_pulses, "num_pulses")
+    num_pulses = _index(num_pulses, "num_pulses")
+    if num_pulses < 1:
+        raise ValueError("num_pulses must be >= 1")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    population = bounds.uniform(rng, (cfg.population_size, n_genes))
+    population = bounds.uniform(rng, (cfg.population_size, 2 * num_pulses))
 
     best_genome = None
     best_score = -np.inf

@@ -530,7 +530,7 @@ class TestSplitKronecker:
     def test_noisy_random_target(self, scenario_id, num_pulses, kind, rng):
         # a random complex target is not unchanged by sigma(X) = P conj(X) P,
         # so the gradient is right only with the target projected onto the
-        # sigma-invariant part before the factor 2
+        # sigma-invariant part before the columns (c, e), c > e, are dropped
         scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
         noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
         gen = build_generator(scenario.system, scenario.control_site, noise)
@@ -541,6 +541,17 @@ class TestSplitKronecker:
             scenario.h_max,
         )
         d2 = scenario.dim**2
+        self.check_against_dense(gen, pulses, random_complex(rng, (d2, d2)))
+
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("num_qubits, control_site, num_pulses", [(3, 1, 1), (1, 0, 12)])
+    def test_half_columns_edge_cases(self, num_qubits, control_site, num_pulses, kind, rng):
+        # M = 1 runs only k = 0 of the backward loop; one qubit keeps 3 of
+        # the 4 input columns, so the weight-2 column (0, 1) is alone
+        noise = NoiseSpec.on_all_sites(kind, 0.1, num_qubits)
+        gen = build_generator(SpinSystem.chain(num_qubits), control_site, noise)
+        d2 = gen.dim**2
+        pulses = random_pulses(rng, num_pulses, 2.1 / 32, 5.0)
         self.check_against_dense(gen, pulses, random_complex(rng, (d2, d2)))
 
     @pytest.mark.parametrize("scenario_id", list("abcdef"))
@@ -681,8 +692,9 @@ class TestSplitKronecker:
         assert peak < 2 * 2**20
 
     def test_gradient_memory(self, rng):
-        # scenario (d), M = 128: the forward products are the one
-        # (M, d^2, d^2) array, 8 MiB
+        # scenario (d), M = 128: the forward products on the 36 kept input
+        # columns are one (M + 1, d^2, 36) array, 4.5 MiB; on all 64
+        # columns they would be 8.1 MiB
         scenario = scenario_catalog()[3]
         gen = build_generator(
             scenario.system,
@@ -703,7 +715,7 @@ class TestSplitKronecker:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestValidityCheck:
@@ -950,12 +962,12 @@ class TestGradients:
         # first order in dt: 2e-3 here, 2.0 with the sign of the derivative flipped
         assert relative_error(grad, central_differences(fidelity, x)) < 1e-2
 
-    def test_split_gradient_of_state_fitness(self, rng):
+    def check_state_fitness_gradient(self, kind, rng):
         scenario = scenario_catalog()[0]
         gen = build_generator(
             scenario.system,
             scenario.control_site,
-            NoiseSpec.on_all_sites("phase_damping", 0.1, scenario.num_qubits),
+            NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits),
         )
         dt = scenario.total_time / scenario.num_pulses
         x = rng.uniform(-5, 5, 2 * scenario.num_pulses)
@@ -967,6 +979,12 @@ class TestGradients:
         )
         assert f == pytest.approx(fitness(x), abs=1e-14)
         assert relative_error(grad, central_differences(fitness, x)) < 1e-6
+
+    def test_split_gradient_of_state_fitness(self, rng):
+        self.check_state_fitness_gradient("phase_damping", rng)
+
+    def test_split_gradient_of_state_fitness_with_amplitude_damping(self, rng):
+        self.check_state_fitness_gradient("amplitude_damping", rng)
 
     @pytest.mark.parametrize("kind", [None, "amplitude_damping"])
     @pytest.mark.parametrize("gradient", [split_gradient, machnes_gradient])

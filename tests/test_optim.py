@@ -66,6 +66,26 @@ class TestLbfgs:
         x, _, _ = lbfgs_b_maximize(objective, Bounds(-np.inf, np.inf), rng.uniform(-1, 1, 2))
         assert np.max(np.abs(x - center)) < 1e-6
 
+    @pytest.mark.parametrize("max_iters", [1.5, -3])
+    def test_rejects_bad_max_iters(self, max_iters):
+        objective = quadratic_objective(np.ones(2), np.zeros(2))
+        with pytest.raises(ValueError, match="max_iters"):
+            lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), np.zeros(2), max_iters=max_iters)
+
+    def test_zero_max_iters_returns_clipped_start(self):
+        calls = []
+
+        def with_gradient(x):
+            calls.append(x)
+            return sphere(x), -2.0 * x
+
+        objective = Objective(evaluate=sphere, evaluate_with_gradient=with_gradient)
+        x, score, iterations = lbfgs_b_maximize(
+            objective, Bounds(-1.0, 1.0), np.array([3.0, -0.5]), max_iters=np.int64(0)
+        )
+        assert np.array_equal(x, [1.0, -0.5])
+        assert score == sphere([1.0, -0.5]) and iterations == 0 and len(calls) == 1
+
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "concurrent.futures.thread"])
 def test_import_leaves_module_unloaded(module):
@@ -159,6 +179,17 @@ class TestGa:
     def test_rejects_non_integer_num_pulses(self):
         with pytest.raises(ValueError, match="num_pulses"):
             ga_maximize(Objective(evaluate=sphere), Bounds(-2.0, 2.0), 2.5, self.CONFIG)
+
+    @pytest.mark.parametrize("num_pulses", [0, -2])
+    def test_rejects_num_pulses_below_one(self, num_pulses):
+        with pytest.raises(ValueError, match="num_pulses"):
+            ga_maximize(Objective(evaluate=sphere), Bounds(-2.0, 2.0), num_pulses, self.CONFIG)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_config_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            GaConfig(population_size=8, generations=4, seed=seed)
+        assert type(GaConfig(seed=np.int64(3)).seed) is int
 
     @pytest.mark.parametrize("bounds", [(-np.inf, np.inf), (-1.0, np.inf), (-np.inf, 1.0)])
     def test_rejects_non_finite_bounds(self, bounds):
