@@ -327,12 +327,37 @@ def _expm_divided_differences(theta):
 
 
 def _checked_target(gen, target):
-    """The target as a complex array, which must be ``(d^2, d^2)``."""
+    """The target as a complex array, which must be finite and ``(d^2, d^2)``."""
     target = np.asarray(target, dtype=np.complex128)
     d2 = gen.dim * gen.dim
     if target.shape != (d2, d2):
         raise ValueError(f"expected a {(d2, d2)} target superoperator, got {target.shape}")
+    if not np.isfinite(target).all():
+        raise ValueError("the target superoperator must be finite")
     return target
+
+
+def _hermitian_half(target, m):
+    """Forward stack and target of a noisy chain on half its input columns.
+
+    Noisy steps and step derivatives map Hermitian matrices to Hermitian
+    ones: they commute with ``sigma(X) = P conj(X) P``, P the swap of the
+    tensor factors.  Against ``T_h = (T + sigma(T)) / 2``, which leaves
+    ``Re Tr(T^dag Y)`` unchanged for such Y, column (e, c) of the overlap
+    is the conjugate of column (c, e), so only the d(d+1)/2 input columns
+    (c, e), c <= e, are kept (Schulte-Herbrueggen et al., J. Phys. B 44,
+    154013 (2011)).  Returns the (m + 1, d^2, d(d+1)/2) forward stack with
+    its identity columns filled, and ``th = conj(T_h) / d^2`` on the kept
+    columns weighted 1 on the diagonal and 2 off it.
+    """
+    d2, d = target.shape[-1], math.isqrt(target.shape[-1])
+    rows, cols = np.triu_indices(d)
+    kept = rows * d + cols
+    fwd = np.empty((m + 1, d2, kept.size), dtype=np.complex128)
+    fwd[0] = np.eye(d2, dtype=np.complex128)[:, kept]
+    # conj(T) + P T P is 2 conj(T_h)
+    t_swap = target.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2)
+    return fwd, (np.conj(target) + t_swap)[:, kept] * (np.where(rows == cols, 0.5, 1.0) / d2)
 
 
 def split_gradient(gen, pulses, target):
@@ -348,31 +373,20 @@ def split_gradient(gen, pulses, target):
     ``U_k`` (GRAPE), so the gradient is also the exact one.
 
     With collapse operators the chain is regrouped as in
-    :func:`_fold_decay`, ``dW_k = dU_k E``, and the leading A moves into
-    the target as ``A^dag T``.  Every map of the chain, and each step
-    derivative ``dW kron conj(W) + W kron conj(dW)``, is unchanged by
-    ``sigma(X) = P conj(X) P``, P the swap of the two tensor factors: it
-    maps Hermitian matrices to Hermitian matrices.  So the target is
-    replaced by ``T_h = (T + sigma(T)) / 2``, which leaves ``Re Tr(T^dag
-    Y)`` unchanged for every such Y, and then input column (e, c) of the
-    overlap is the complex conjugate of column (c, e).  Both sweeps run
-    only on the d(d+1)/2 input columns with c <= e, weighted 1 on the
-    diagonal and 2 off it (Schulte-Herbrueggen et al., J. Phys. B 44,
-    154013 (2011)).
-
-    The halves ``dW kron conj(W)`` and ``W kron conj(dW)`` of a step
-    derivative are each other's images under sigma, so neither alone is
-    sigma-invariant and on a column subset both are needed: the gradient
-    is ``Re sum(dW_k * (q_k + conj(p_k)))`` with the d x d ``q_k`` (dW on
-    the ket factor) and ``p_k`` (conj(dW) on the bra factor), each one
-    contraction of the stored forward product with the backward one.  The
-    backward product is carried transposed so that every W acts from the
-    left.  Per interval that is a few d x d by d x d(d+1)/2 products and
-    one sparse product with B.
+    :func:`_fold_decay`, ``dW_k = dU_k E``, the leading A moves into the
+    target as ``A^dag T``, and both sweeps run on the columns of
+    :func:`_hermitian_half`.  The halves ``dW kron conj(W)`` and ``W kron
+    conj(dW)`` of a step derivative are each other's images under sigma,
+    so neither alone is sigma-invariant and on a column subset both are
+    needed: the gradient is ``Re sum(dW_k * (q_k + conj(p_k)))`` with the
+    d x d ``q_k`` (dW on the ket factor) and ``p_k`` (conj(dW) on the bra
+    factor), each one contraction of the stored forward product with the
+    backward one.  The backward product is carried transposed so that
+    every W acts from the left.  Per interval that is a few d x d by d x
+    d(d+1)/2 products and one sparse product with B.
     """
     target = _checked_target(gen, target)
-    d, dt = gen.dim, pulses.dt
-    m, d2 = pulses.num_pulses, d * d
+    d, dt, m = gen.dim, pulses.dt, pulses.num_pulses
     hx, hy = pulses.hx[:, None, None], pulses.hy[:, None, None]
     w, v = np.linalg.eigh(gen.drift + hx * gen.controls[0] + hy * gen.controls[1])
     vh = dagger(v)
@@ -385,20 +399,10 @@ def split_gradient(gen, pulses, target):
         return _unitary_gradient(u, du @ dagger(u), target)
     e, b, b_t = _noise_factors(gen, dt)
     w, dw = _fold_decay(u, e), _fold_decay(du, e)
-    t = _kron_conj_left(dagger(e), target)
-    # the kept input columns x = (c, e), c <= e, as indices into d^2
-    rows, cols = np.triu_indices(d)
-    kept = rows * d + cols
-    n = kept.size
-    fwd = np.empty((m + 1, d2, n), dtype=np.complex128)
-    fwd[0] = np.eye(d2, dtype=np.complex128)[:, kept]
+    fwd, th = _hermitian_half(_kron_conj_left(dagger(e), target), m)
+    n = fwd.shape[-1]
     for k in range(m):
         fwd[k + 1] = b @ _kron_conj_left(w[k], fwd[k])
-
-    # conj(T_h) / d^2 on the kept columns, weighted 1 and 2: conj(t) +
-    # t_swap is 2 conj(T_h), since conj(sigma(T)) = P T P
-    t_swap = t.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2)
-    th = (np.conj(t[:, kept]) + t_swap[:, kept]) * (np.where(rows == cols, 0.5, 1.0) / d2)
     fidelity = float(np.sum(th * fwd[m]).real)
     # bt[(a, b), x] is the transposed product of the weighted T_h^dag / d^2
     # and the steps after interval k, B included
@@ -415,7 +419,7 @@ def split_gradient(gen, pulses, target):
         g = (w[k].T @ bt.reshape(d, d * n)).reshape(d, d, n)
         q[k] += np.conj(np.matmul(g, f.transpose(0, 2, 1)).sum(0))
         if k:
-            bt = b_t @ (w[k].T @ h).reshape(d2, n)
+            bt = b_t @ (w[k].T @ h).reshape(-1, n)
     return fidelity, np.einsum("ckij,kij->ck", dw, q).real.reshape(-1)
 
 
@@ -433,14 +437,15 @@ def machnes_gradient(gen, pulses, target):
     (:func:`_unitary_gradient`).
 
     With collapse operators the chain runs on the dense steps ``X_k =
-    expm(dt F_k)``.  The forward products ``fwd_k = X_{k-1} ... X_0`` are
-    stored; ``back`` is the running product of ``target^dag / d^2`` and the
-    steps after interval k.  Returns ``(f, grad)`` with ``grad[:M]`` the hx
-    derivatives and ``grad[M:]`` the hy derivatives.
+    expm(dt F_k)``, on the columns of :func:`_hermitian_half`.  The forward
+    products ``fwd_k = X_{k-1} ... X_0`` are stored; ``bt`` is the
+    transposed product of ``th`` and the steps after interval k.  Returns
+    ``(f, grad)`` with ``grad[:M]`` the hx derivatives and ``grad[M:]`` the
+    hy derivatives.
     """
     target = _checked_target(gen, target)
-    dt = pulses.dt
-    if _noiseless(gen):
+    dt, m = pulses.dt, pulses.num_pulses
+    if _noiseless(gen) or not m:
         u = _interval_unitaries(gen, pulses)
         return _unitary_gradient(u, -1j * dt * np.stack(gen.controls)[:, None], target)
 
@@ -448,22 +453,18 @@ def machnes_gradient(gen, pulses, target):
         gen.base, gen.control_comms[0], gen.control_comms[1],
         pulses.hx, pulses.hy, dt,
     )
-    m, d2 = len(steps), target.shape[-1]
-    norm = 1.0 / d2
-    fwd = np.empty((m + 1, d2, d2), dtype=np.complex128)
-    fwd[0] = np.eye(d2, dtype=np.complex128)
+    fwd, bt = _hermitian_half(target, m)
     for k in range(m):
         fwd[k + 1] = steps[k] @ fwd[k]
-    fidelity = float(np.vdot(target, fwd[m]).real) * norm
+    fidelity = float(np.sum(bt * fwd[m]).real)
 
     grad = np.empty(2 * m, dtype=np.float64)
-    back = dagger(target) * norm
     for k in range(m - 1, -1, -1):
-        # Tr(back dt K X_k fwd_k) = dt sum(K^T * (fwd_{k+1} back))
-        y = fwd[k + 1] @ back
+        # Re sum(bt * dt K X_k fwd_k) = dt Re sum(K^T * (fwd_{k+1} bt^T))
+        y = fwd[k + 1] @ bt.T
         grad[k], grad[m + k] = (dt * np.sum(kc.T * y).real for kc in gen.control_comms)
         if k:
-            back = back @ steps[k]
+            bt = steps[k].T @ bt
     return fidelity, grad
 
 

@@ -116,6 +116,14 @@ def _two_loop_direction(grad, pairs):
 def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     """Maximize within a box using projected limited-memory BFGS.
 
+    A variable at a bound whose gradient points out of the box is held: it
+    is zeroed in the gradient the two-loop recursion sees and in the
+    direction, the free-variable step of L-BFGS-B (Byrd, Lu, Nocedal & Zhu,
+    SIAM J. Sci. Comput. 16, 1190 (1995)).  With no curvature pair yet, or
+    a direction that does not ascend, the step is steepest ascent on the
+    free variables, scaled so that its largest component is 1% of the box
+    width; in an unbounded box it is the raw gradient.
+
     Terminates when the projected-gradient infinity norm drops to 1e-8, on
     a relative score change below 1e-12, when a line search fails, or after
     ``max_iters`` iterations; with ``max_iters=0`` it returns the clipped
@@ -138,12 +146,18 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     x = bounds.clip(np.asarray(start, dtype=np.float64).copy())
     phi, gphi = eval_neg(x)
     pairs = deque(maxlen=10)  # the oldest pair drops out first
+    width = bounds.upper - bounds.lower
     iters = 0
 
     for iters in range(1, max_iters + 1):
-        d = -_two_loop_direction(gphi, pairs)
-        if float(np.dot(d, gphi)) >= 0.0:
-            d = -gphi  # recovered steepest ascent when curvature is unusable
+        held = ((x <= bounds.lower) & (gphi > 0)) | ((x >= bounds.upper) & (gphi < 0))
+        free = np.where(held, 0.0, gphi)
+        d = -_two_loop_direction(free, pairs)
+        d[held] = 0.0
+        if not pairs or float(np.dot(d, free)) >= 0.0:
+            d, top = -free, float(np.max(np.abs(free), initial=0.0))
+            if top and np.isfinite(width):
+                d *= 0.01 * width / top
 
         # Armijo backtracking along the projected path
         alpha, accepted = 1.0, False

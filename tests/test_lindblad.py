@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 from conftest import (
-    loaded_by_import,
     partial_trace,
     random_complex,
     random_density,
@@ -357,12 +356,6 @@ class TestSplit:
         with pytest.raises(ValueError):
             gen.controls[0][0, 0] = 1.0
 
-    def test_import_leaves_scipy_sparse_unloaded(self):
-        # the sparse jump factor imports scipy.sparse on first use, which
-        # would add about 1 MB and 11-18 ms to every process importing the
-        # package
-        assert not loaded_by_import("scipy.sparse")
-
     def test_dephasing_factors_diagonal(self):
         gen = single_qubit_generator(NoiseSpec("phase_damping", 0.5, (0,)))
         a, b, _ = split_factors(gen, 0.2, 0.1, 0.4)
@@ -499,9 +492,14 @@ class TestSplitKronecker:
     def check_against_dense(self, gen, pulses, target):
         total, f, grad = dense_split_chain(gen, pulses, target)
         assert np.max(np.abs(split_propagator(gen, pulses) - total)) < 1e-12
-        got_f, got_grad = split_gradient(gen, pulses, target)
-        assert abs(got_f - f) < 1e-12
-        assert np.max(np.abs(got_grad - grad)) < 1e-12 * np.max(np.abs(grad))
+        oracles = [
+            (split_gradient, (f, grad)),
+            (machnes_gradient, dense_first_order_chain(gen, pulses, target)),
+        ]
+        for gradient, (want_f, want_grad) in oracles:
+            got_f, got_grad = gradient(gen, pulses, target)
+            assert abs(got_f - want_f) < 1e-12
+            assert np.max(np.abs(got_grad - want_grad)) < 1e-12 * np.max(np.abs(want_grad))
 
     @pytest.mark.parametrize("h_max", [5.0, 100.0])
     def test_three_qubit_chain_with_amplitude_damping(self, h_max, rng):
@@ -691,10 +689,12 @@ class TestSplitKronecker:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    def test_gradient_memory(self, rng):
+    @pytest.mark.parametrize("gradient, mib", [(split_gradient, 8), (machnes_gradient, 14)])
+    def test_gradient_memory(self, gradient, mib, rng):
         # scenario (d), M = 128: the forward products on the 36 kept input
         # columns are one (M + 1, d^2, 36) array, 4.5 MiB; on all 64
-        # columns they would be 8.1 MiB
+        # columns they would be 8.1 MiB.  machnes_gradient also holds its
+        # (M, d^2, d^2) dense steps, 8 MiB
         scenario = scenario_catalog()[3]
         gen = build_generator(
             scenario.system,
@@ -708,14 +708,14 @@ class TestSplitKronecker:
             scenario.h_max,
         )
         target = target_superoperator(scenario)
-        split_gradient(gen, pulses, target)
+        gradient(gen, pulses, target)
         tracemalloc.start()
         try:
-            split_gradient(gen, pulses, target)
+            gradient(gen, pulses, target)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < mib * 2**20
 
 
 class TestValidityCheck:
@@ -993,12 +993,17 @@ class TestGradients:
         noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits) if kind else None
         gen = build_generator(scenario.system, scenario.control_site, noise)
         pulses = random_pulses(rng, 4, 0.01)
-        for target in (
+        wrong_shapes = (
             scenario.full_target_unitary(),
             unitary_superoperator(random_unitary(rng, 4)),
             np.array([]),
-        ):
-            expected = f"expected a (64, 64) target superoperator, got {target.shape}"
+        )
+        cases = [(t, f"expected a (64, 64) target superoperator, got {t.shape}")
+                 for t in wrong_shapes]
+        not_finite = target_superoperator(scenario)
+        not_finite[5, 7] = np.nan
+        cases.append((not_finite, "the target superoperator must be finite"))
+        for target, expected in cases:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 gradient(gen, pulses, target)
 

@@ -45,6 +45,41 @@ class TestLbfgs:
         assert score == pytest.approx(-np.sum(weights * (optimum - center) ** 2))
         assert np.all(np.abs(x) <= 1.0)
 
+    def test_badly_scaled_ascent_reaches_far_optimum(self):
+        # a Huber ascent: the gradient is 1e-3 long and constant up to 5
+        # from the optimum, which is 50 away, so raw gradient steps would
+        # move 1e-3 per iteration and find no curvature to rescale them
+        center = np.array([50.0, -30.0, 20.0])
+
+        def with_gradient(x):
+            r = x - center
+            huber = np.where(np.abs(r) <= 5.0, r * r / 2, 5.0 * np.abs(r) - 12.5)
+            return -2e-4 * float(np.sum(huber)), -2e-4 * np.clip(r, -5.0, 5.0)
+
+        objective = Objective(
+            evaluate=lambda x: with_gradient(x)[0], evaluate_with_gradient=with_gradient
+        )
+        x, _, _ = lbfgs_b_maximize(objective, Bounds(-100.0, 100.0), np.zeros(3), max_iters=100)
+        assert np.max(np.abs(x - center)) < 1e-4
+
+    @pytest.mark.parametrize("start", [(0.0, 0.0), (0.5, 0.9), (-0.9, -0.9), (1.0, 1.0)])
+    def test_coupled_quadratic_with_direction_leaving_box(self, start):
+        # the unconstrained optimum (3, -2) lies outside the box, and the
+        # quasi-Newton direction leaves the box in x0 as well as x1; only
+        # x0 is active at the box optimum (1, -0.2)
+        hessian = np.array([[1.0, 0.9], [0.9, 1.0]])
+        center = np.array([3.0, -2.0])
+
+        def with_gradient(x):
+            r = x - center
+            return -float(r @ hessian @ r), -2.0 * hessian @ r
+
+        objective = Objective(
+            evaluate=lambda x: with_gradient(x)[0], evaluate_with_gradient=with_gradient
+        )
+        x, _, _ = lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), np.array(start))
+        assert np.max(np.abs(x - [1.0, -0.2])) < 1e-5
+
     def test_failed_line_search_stops_after_twenty_trials(self):
         # the gradient has the wrong sign, so no trial step ascends
         calls = []
@@ -87,11 +122,12 @@ class TestLbfgs:
         assert score == sphere([1.0, -0.5]) and iterations == 0 and len(calls) == 1
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "concurrent.futures.thread"])
+@pytest.mark.parametrize("module", ["scipy.optimize", "concurrent.futures.thread", "scipy.sparse"])
 def test_import_leaves_module_unloaded(module):
     # scipy.optimize would add about a quarter second and 20 MB of resident
     # memory to every process that imports the package; the GA imports its
-    # thread pool on first use
+    # thread pool on first use, and the sparse jump factor of the split
+    # method imports scipy.sparse on first use (about 1 MB and 11-18 ms)
     assert not loaded_by_import(module)
 
 
