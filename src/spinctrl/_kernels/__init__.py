@@ -5,7 +5,10 @@ otherwise; ``BACKEND`` names the one in use.  The fallback's exponentials
 are ``scipy.linalg.expm``; the compiled core is the package's only
 hand-written numerical kernel.  ``piecewise_steps`` takes any square
 generators: the noiseless first-order gradient passes the d x d ``-iH`` and
-gets the interval unitaries ``exp(-i dt H_k)``.
+gets the interval unitaries ``exp(-i dt H_k)``.  ``piecewise_total`` serves
+exact propagation only for d^2 <= 16; at d^2 = 64 the exact chain runs on
+real generators through ``scipy.linalg.expm``
+(``lindblad.total_propagator_exact``).
 
 ``python setup.py build_ext --inplace`` compiles the committed
 ``_cykernels.c`` in place, with a C compiler and the Python headers but

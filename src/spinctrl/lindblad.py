@@ -93,7 +93,9 @@ class Generator:
 
     ``base`` is the control-independent ``(d^2, d^2)`` generator, the drift
     commutator ``K(H0)`` plus the dissipator, and ``control_comms`` the
-    commutators ``K(H)`` of the two controls: the exact chains read these.
+    commutators ``K(H)`` of the two controls: the exact chains read these,
+    through the compiled ``piecewise_total`` for d <= 4 and as the real
+    matrices of :func:`_real_parts`, memoised per generator, for d >= 8.
     ``drift`` and ``controls`` are the d x d Hamiltonians.  The split method
     exponentiates the dissipator's two parts apart: ``jump_part`` is the
     ``(d^2, d^2)`` ``sum gamma L kron conj(L)``, and ``decay`` is the d x d
@@ -182,11 +184,72 @@ def target_superoperator(scenario):
 
 
 def total_propagator_exact(gen, pulses):
-    """Exact propagator of the whole sequence; interval 0 acts first."""
-    return _kernels.piecewise_total(
-        gen.base, gen.control_comms[0], gen.control_comms[1],
-        pulses.hx, pulses.hy, pulses.dt,
-    )
+    """Exact propagator of the whole sequence; interval 0 acts first.
+
+    For d <= 4 this is one ``_kernels.piecewise_total`` call.  For d >= 8
+    the chain runs on the real generators of :func:`_real_parts`: one
+    ``scipy.linalg.expm`` per interval of the real ``dt (R_base + hx R_x +
+    hy R_y)``, multiplied onto a running real product, and the result is
+    ``S total S^dag``.  With one BLAS thread on a 2-core Xeon, on scenario
+    (d) with 128 intervals, that takes 27 ms against 70 ms for the
+    compiled kernel (best of 15).  At d^2 = 16 it is no faster (0.94
+    against 0.75 ms on (a)), and SciPy's loop holds the interpreter lock
+    that the compiled one releases, so the GA's worker threads would no
+    longer overlap.  An empty sequence gives exactly the identity.
+    """
+    if gen.dim <= 4:
+        return _kernels.piecewise_total(
+            gen.base, gen.control_comms[0], gen.control_comms[1],
+            pulses.hx, pulses.hy, pulses.dt,
+        )
+    d2 = gen.dim * gen.dim
+    if not pulses.num_pulses:
+        return np.eye(d2, dtype=np.complex128)
+    s, r_base, r_x, r_y = _real_parts(gen)
+    dt, total = pulses.dt, np.eye(d2)
+    for hx, hy in zip(pulses.hx, pulses.hy):
+        total = scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y)) @ total
+    return s @ total @ dagger(s)
+
+
+_REAL_PARTS = weakref.WeakKeyDictionary()
+
+
+def _real_parts(gen):
+    """The Hermitian basis S and the real generators ``S^dag X S`` of
+    ``base`` and both ``control_comms``, built once per generator.
+
+    The columns of the unitary ``(d^2, d^2)`` S are ``vec E_cc`` and, for
+    the pairs c < e, ``(E_ce + E_ec) / sqrt 2`` and ``i (E_ce - E_ec) /
+    sqrt 2``: an orthonormal basis of Hermitian matrices.  A map that
+    takes Hermitian matrices to Hermitian ones, as every Lindbladian does,
+    is a real matrix in it (Havel, J. Math. Phys. 44, 534 (2003)).  Raises
+    ``ValueError`` when a part's imaginary component exceeds 1e-12 of its
+    norm, rather than drop it.  The parts are read-only.
+    """
+    parts = _REAL_PARTS.get(gen)
+    if parts is None:
+        d, half = gen.dim, math.sqrt(0.5)
+        rows, cols = np.triu_indices(d, 1)
+        ce, ec = rows * d + cols, cols * d + rows
+        sym = np.arange(d, d + rows.size)
+        s = np.zeros((d * d, d * d), dtype=np.complex128)
+        s[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+        s[ce, sym] = s[ec, sym] = half
+        s[ce, sym + rows.size], s[ec, sym + rows.size] = 1j * half, -1j * half
+        parts = [s]
+        for name, x in zip(("base", "hx control", "hy control"), (gen.base, *gen.control_comms)):
+            r = dagger(s) @ x @ s
+            if np.linalg.norm(r.imag) > 1e-12 * np.linalg.norm(r):
+                raise ValueError(
+                    f"the {name} generator does not map Hermitian matrices to Hermitian ones"
+                )
+            r = np.ascontiguousarray(r.real)
+            r.flags.writeable = False
+            parts.append(r)
+        s.flags.writeable = False
+        parts = _REAL_PARTS[gen] = tuple(parts)
+    return parts
 
 
 _NOISE_FACTORS = weakref.WeakKeyDictionary()

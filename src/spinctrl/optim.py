@@ -122,7 +122,10 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     SIAM J. Sci. Comput. 16, 1190 (1995)).  With no curvature pair yet, or
     a direction that does not ascend, the step is steepest ascent on the
     free variables, scaled so that its largest component is 1% of the box
-    width; in an unbounded box it is the raw gradient.
+    width; in an unbounded box it is the raw gradient.  A quasi-Newton
+    direction whose largest component exceeds the box width is scaled down
+    to it: a curvature pair with a tiny ``y`` would otherwise give a
+    direction whose clipped trials all land on one corner of the box.
 
     Terminates when the projected-gradient infinity norm drops to 1e-8, on
     a relative score change below 1e-12, when a line search fails, or after
@@ -158,6 +161,10 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
             d, top = -free, float(np.max(np.abs(free), initial=0.0))
             if top and np.isfinite(width):
                 d *= 0.01 * width / top
+        else:
+            top = float(np.max(np.abs(d)))
+            if top > width:
+                d *= width / top
 
         # Armijo backtracking along the projected path
         alpha, accepted = 1.0, False

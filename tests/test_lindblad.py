@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from conftest import (
     res,
     unres,
 )
-from spinctrl import lindblad
+from spinctrl import _kernels, lindblad
 from spinctrl.lindblad import (
     PulseSequence,
     assemble_hamiltonian_super,
@@ -239,17 +240,19 @@ class TestExactPropagation:
         rho = propagate_state(step, rho0)
         assert abs(abs(rho[0, 1]) - 0.5 * np.exp(-2 * gamma * dt)) < 1e-12
 
-    def test_single_interval_matches_step(self, rng):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_interval_matches_step(self, n, rng):
         gen = build_generator(
-            SpinSystem.chain(2), 0, NoiseSpec.on_all_sites("phase_damping", 0.2, 2)
+            SpinSystem.chain(n), 0, NoiseSpec.on_all_sites("phase_damping", 0.2, n)
         )
         total = total_propagator_exact(gen, PulseSequence([1.3], [-0.4], 0.25))
         step = exact_step(gen, 1.3, -0.4, 0.25)
         assert np.allclose(total, step, atol=1e-14)
 
-    def test_noiseless_matches_unitary_conjugation(self, rng):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_noiseless_matches_unitary_conjugation(self, n, rng):
         # independent oracle: Hilbert-space evolution via scipy expm
-        system = SpinSystem.chain(2)
+        system = SpinSystem.chain(n)
         gen = build_generator(system, 1, None)
         pulses = random_pulses(rng, 6, 0.15)
         got = total_propagator_exact(gen, pulses)
@@ -258,15 +261,16 @@ class TestExactPropagation:
 
         h0 = build_drift(system)
         sx, sy = build_controls(system, 1)
-        u = np.eye(4, dtype=complex)
+        u = np.eye(system.dim, dtype=complex)
         for k in range(pulses.num_pulses):
             h = h0 + pulses.hx[k] * sx + pulses.hy[k] * sy
             u = scipy.linalg.expm(-1j * pulses.dt * h) @ u
         assert np.max(np.abs(got - kron(u, np.conj(u)))) < 1e-10
 
-    def test_composition(self, rng):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_composition(self, n, rng):
         gen = build_generator(
-            SpinSystem.chain(2), 0, NoiseSpec.on_all_sites("amplitude_damping", 0.1, 2)
+            SpinSystem.chain(n), 0, NoiseSpec.on_all_sites("amplitude_damping", 0.1, n)
         )
         p1 = random_pulses(rng, 3, 0.2)
         p2 = random_pulses(rng, 4, 0.2)
@@ -276,6 +280,84 @@ class TestExactPropagation:
         lhs = total_propagator_exact(gen, whole)
         rhs = total_propagator_exact(gen, p2) @ total_propagator_exact(gen, p1)
         assert np.allclose(lhs, rhs, atol=1e-11)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_sequence_is_exact_identity(self, n):
+        gen = build_generator(
+            SpinSystem.chain(n), 0, NoiseSpec.on_all_sites("amplitude_damping", 0.1, n)
+        )
+        got = total_propagator_exact(gen, PulseSequence([], [], 0.1))
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, np.eye(gen.dim**2))
+
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("scenario_id", list("def"))
+    def test_real_basis_chain_matches_compiled_kernel(self, scenario_id, kind, rng):
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        noise = kind and NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        dt = scenario.total_time / scenario.num_pulses
+        for h_max in (5.0, scenario.h_max):
+            pulses = random_pulses(rng, scenario.num_pulses, dt, h_max)
+            want = _kernels.piecewise_total(
+                gen.base, *gen.control_comms, pulses.hx, pulses.hy, dt
+            )
+            got = total_propagator_exact(gen, pulses)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_two_qubits_run_the_compiled_kernel(self, rng):
+        gen = build_generator(
+            SpinSystem.chain(2), 1, NoiseSpec.on_all_sites("phase_damping", 0.1, 2)
+        )
+        pulses = random_pulses(rng, 32, 0.065, 100.0)
+        want = _kernels.piecewise_total(
+            gen.base, *gen.control_comms, pulses.hx, pulses.hy, pulses.dt
+        )
+        assert np.array_equal(total_propagator_exact(gen, pulses), want)
+
+    def test_accepts_super_of_non_hermitian_hamiltonian(self, rng):
+        # K(H) is -i (H rho - rho H^dag), which maps Hermitian matrices to
+        # Hermitian ones for any H, so the real basis holds it exactly
+        gen = build_generator(SpinSystem.chain(3), 1, None)
+        h = random_complex(rng, (8, 8))
+        with pytest.warns(UserWarning, match="not Hermitian"):
+            drift = assemble_hamiltonian_super(h)
+        gen = dataclasses.replace(gen, base=drift)
+        pulses = random_pulses(rng, 4, 0.05)
+        want = _kernels.piecewise_total(
+            gen.base, *gen.control_comms, pulses.hx, pulses.hy, pulses.dt
+        )
+        got = total_propagator_exact(gen, pulses)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rejects_generator_that_breaks_hermiticity(self, rng):
+        # the commutator -i [H, rho] of a non-Hermitian H is not real in the
+        # Hermitian basis: its imaginary part must not be dropped
+        gen = build_generator(SpinSystem.chain(3), 1, None)
+        h, ident = random_complex(rng, (8, 8)), np.eye(8)
+        gen = dataclasses.replace(gen, base=-1j * (kron(h, ident) - kron(ident, h.T)))
+        with pytest.raises(ValueError, match="base generator does not map Hermitian"):
+            total_propagator_exact(gen, random_pulses(rng, 4, 0.05))
+
+    def test_memory(self, rng):
+        # scenario (d), M = 128: the real chain holds a few 64 x 64 arrays;
+        # an (M, d^2, d^2) stack of steps would be 8 MiB
+        scenario = scenario_catalog()[3]
+        gen = build_generator(
+            scenario.system,
+            scenario.control_site,
+            NoiseSpec.on_all_sites("amplitude_damping", 0.1, scenario.num_qubits),
+        )
+        dt = scenario.total_time / scenario.num_pulses
+        pulses = random_pulses(rng, scenario.num_pulses, dt, scenario.h_max)
+        total_propagator_exact(gen, pulses)
+        tracemalloc.start()
+        try:
+            total_propagator_exact(gen, pulses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestGeneratorInvariants:

@@ -62,6 +62,24 @@ class TestLbfgs:
         x, _, _ = lbfgs_b_maximize(objective, Bounds(-100.0, 100.0), np.zeros(3), max_iters=100)
         assert np.max(np.abs(x - center)) < 1e-4
 
+    def test_tiny_curvature_pair_gives_a_direction_within_the_box(self):
+        # after the first step tanh of the third coordinate barely leaves
+        # -1, so the curvature pair's y is tiny and the quasi-Newton
+        # direction about 1e16 long: uncapped, every clipped trial lands on
+        # the same corner, the line search fails and the run stops 48 from
+        # the optimum
+        center = np.array([50.0, -30.0, 20.0])
+
+        def with_gradient(x):
+            r = x - center
+            return -1e-3 * float(np.sum(np.logaddexp(r, -r))), -1e-3 * np.tanh(r)
+
+        objective = Objective(
+            evaluate=lambda x: with_gradient(x)[0], evaluate_with_gradient=with_gradient
+        )
+        x, _, _ = lbfgs_b_maximize(objective, Bounds(-100.0, 100.0), np.zeros(3), max_iters=100)
+        assert np.max(np.abs(x - center)) < 1e-4
+
     @pytest.mark.parametrize("start", [(0.0, 0.0), (0.5, 0.9), (-0.9, -0.9), (1.0, 1.0)])
     def test_coupled_quadratic_with_direction_leaving_box(self, start):
         # the unconstrained optimum (3, -2) lies outside the box, and the
