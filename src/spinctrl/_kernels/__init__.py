@@ -4,11 +4,11 @@ The Cython extension is used when it can be imported, the fallback
 otherwise; ``BACKEND`` names the one in use.  The fallback's exponentials
 are ``scipy.linalg.expm``; the compiled core is the package's only
 hand-written numerical kernel.  ``piecewise_steps`` takes any square
-generators: the noiseless first-order gradient passes the d x d ``-iH`` and
-gets the interval unitaries ``exp(-i dt H_k)``.  ``piecewise_total`` serves
-exact propagation only for d^2 <= 16; at d^2 = 64 the exact chain runs on
-real generators through ``scipy.linalg.expm``
-(``lindblad.total_propagator_exact``).
+generators, but the package passes it only the d x d ``-iH``, for the
+interval unitaries ``exp(-i dt H_k)`` of the split propagator and the
+noiseless first-order gradient.  ``piecewise_total`` serves exact
+propagation only for d^2 <= 16.  Every other dense step is a real
+``scipy.linalg.expm`` in the Hermitian basis (``lindblad._real_parts``).
 
 ``python setup.py build_ext --inplace`` compiles the committed
 ``_cykernels.c`` in place, with a C compiler and the Python headers but

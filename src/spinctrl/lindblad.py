@@ -15,7 +15,6 @@ Superoperators and propagators are plain complex128 ``(d^2, d^2)`` arrays.
 from __future__ import annotations
 
 import math
-import warnings
 import weakref
 from dataclasses import dataclass
 
@@ -93,9 +92,9 @@ class Generator:
 
     ``base`` is the control-independent ``(d^2, d^2)`` generator, the drift
     commutator ``K(H0)`` plus the dissipator, and ``control_comms`` the
-    commutators ``K(H)`` of the two controls: the exact chains read these,
-    through the compiled ``piecewise_total`` for d <= 4 and as the real
-    matrices of :func:`_real_parts`, memoised per generator, for d >= 8.
+    commutators ``K(H)`` of the two controls.  Dense ``(d^2, d^2)`` steps
+    are exponentials of their real forms in :func:`_real_parts`, memoised
+    per generator, but for d <= 4 exact propagation runs ``piecewise_total``.
     ``drift`` and ``controls`` are the d x d Hamiltonians.  The split method
     exponentiates the dissipator's two parts apart: ``jump_part`` is the
     ``(d^2, d^2)`` ``sum gamma L kron conj(L)``, and ``decay`` is the d x d
@@ -130,14 +129,13 @@ def _read_only(a):
 
 
 def assemble_hamiltonian_super(h):
-    """Commutator superoperator K(H) generating ``-i [H, rho]``; warns when H
-    is more than 1e-10 away from Hermitian."""
+    """Commutator superoperator K(H) generating ``-i [H, rho]``.  Raises
+    ``ValueError`` when H is more than 1e-10 away from Hermitian: for such
+    an H, ``H kron I - I kron conj(H)`` is not the commutator."""
     h = np.asarray(h, dtype=np.complex128)
     defect = np.max(np.abs(h - dagger(h))) if h.size else 0.0
     if defect > 1e-10:
-        warnings.warn(
-            f"Hamiltonian is not Hermitian (defect {defect:.3e})", stacklevel=2
-        )
+        raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
     ident = np.eye(h.shape[0], dtype=np.complex128)
     return -1j * (kron(h, ident) - kron(ident, np.conj(h)))
 
@@ -499,12 +497,14 @@ def machnes_gradient(gen, pulses, target):
     (Machnes et al., PRA 84, 022305 (2011)), and no backward sweep
     (:func:`_unitary_gradient`).
 
-    With collapse operators the chain runs on the dense steps ``X_k =
-    expm(dt F_k)``, on the columns of :func:`_hermitian_half`.  The forward
-    products ``fwd_k = X_{k-1} ... X_0`` are stored; ``bt`` is the
-    transposed product of ``th`` and the steps after interval k.  Returns
-    ``(f, grad)`` with ``grad[:M]`` the hx derivatives and ``grad[M:]`` the
-    hy derivatives.
+    With collapse operators the step ``X_k = S R_k S^dag`` is taken, for
+    every d, as the real ``R_k = expm(dt (R_base + hx R_x + hy R_y))`` of
+    :func:`_real_parts`, and its derivative as ``dt R_c R_k``.  The chain
+    runs on all d^2 columns of the Hermitian basis S and scores against
+    ``Re(S^dag T S) / d^2``, exact for any complex target as the chain is
+    real.  The forward products ``fwd_k = R_{k-1} ... R_0`` are stored;
+    ``bt`` is the transposed product of that score and the later steps.
+    Returns ``(f, grad)``: ``grad[:M]`` along hx, ``grad[M:]`` along hy.
     """
     target = _checked_target(gen, target)
     dt, m = pulses.dt, pulses.num_pulses
@@ -512,20 +512,20 @@ def machnes_gradient(gen, pulses, target):
         u = _interval_unitaries(gen, pulses)
         return _unitary_gradient(u, -1j * dt * np.stack(gen.controls)[:, None], target)
 
-    steps = _kernels.piecewise_steps(
-        gen.base, gen.control_comms[0], gen.control_comms[1],
-        pulses.hx, pulses.hy, dt,
-    )
-    fwd, bt = _hermitian_half(target, m)
-    for k in range(m):
-        fwd[k + 1] = steps[k] @ fwd[k]
-    fidelity = float(np.sum(bt * fwd[m]).real)
+    s, r_base, r_x, r_y = _real_parts(gen)
+    steps, fwd = np.empty((m,) + s.shape), np.empty((m + 1,) + s.shape)
+    fwd[0] = np.eye(len(s))
+    for k, (hx, hy) in enumerate(zip(pulses.hx, pulses.hy)):
+        steps[k] = scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y))
+        np.matmul(steps[k], fwd[k], out=fwd[k + 1])
+    bt = (dagger(s) @ target @ s).real / len(s)
+    fidelity = float(np.sum(bt * fwd[m]))
 
     grad = np.empty(2 * m, dtype=np.float64)
     for k in range(m - 1, -1, -1):
-        # Re sum(bt * dt K X_k fwd_k) = dt Re sum(K^T * (fwd_{k+1} bt^T))
+        # sum(bt * dt R_c R_k fwd_k) = dt sum(R_c^T * (fwd_{k+1} bt^T))
         y = fwd[k + 1] @ bt.T
-        grad[k], grad[m + k] = (dt * np.sum(kc.T * y).real for kc in gen.control_comms)
+        grad[k], grad[m + k] = (dt * np.sum(rc.T * y) for rc in (r_x, r_y))
         if k:
             bt = steps[k].T @ bt
     return fidelity, grad

@@ -210,8 +210,10 @@ class TestHamiltonianSuper:
             u = scipy.linalg.expm(-1j * t * h)
             assert np.allclose(got, u @ rho @ dagger(u), atol=1e-12)
 
-    def test_warns_on_non_hermitian(self):
-        with pytest.warns(UserWarning):
+    def test_rejects_non_hermitian(self):
+        # H kron I - I kron conj(H) is -i (H rho - rho H^dag), which is not
+        # the commutator when H is not Hermitian
+        with pytest.raises(ValueError, match="not Hermitian"):
             assemble_hamiltonian_super(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
@@ -315,29 +317,20 @@ class TestExactPropagation:
         )
         assert np.array_equal(total_propagator_exact(gen, pulses), want)
 
-    def test_accepts_super_of_non_hermitian_hamiltonian(self, rng):
-        # K(H) is -i (H rho - rho H^dag), which maps Hermitian matrices to
-        # Hermitian ones for any H, so the real basis holds it exactly
-        gen = build_generator(SpinSystem.chain(3), 1, None)
-        h = random_complex(rng, (8, 8))
-        with pytest.warns(UserWarning, match="not Hermitian"):
-            drift = assemble_hamiltonian_super(h)
-        gen = dataclasses.replace(gen, base=drift)
-        pulses = random_pulses(rng, 4, 0.05)
-        want = _kernels.piecewise_total(
-            gen.base, *gen.control_comms, pulses.hx, pulses.hy, pulses.dt
-        )
-        got = total_propagator_exact(gen, pulses)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
     def test_rejects_generator_that_breaks_hermiticity(self, rng):
         # the commutator -i [H, rho] of a non-Hermitian H is not real in the
-        # Hermitian basis: its imaginary part must not be dropped
-        gen = build_generator(SpinSystem.chain(3), 1, None)
+        # Hermitian basis: its imaginary part must not be dropped, neither by
+        # exact propagation nor by the noisy first-order gradient
+        gen = build_generator(
+            SpinSystem.chain(3), 1, NoiseSpec.on_all_sites("amplitude_damping", 0.1, 3)
+        )
         h, ident = random_complex(rng, (8, 8)), np.eye(8)
         gen = dataclasses.replace(gen, base=-1j * (kron(h, ident) - kron(ident, h.T)))
+        pulses = random_pulses(rng, 4, 0.05)
         with pytest.raises(ValueError, match="base generator does not map Hermitian"):
-            total_propagator_exact(gen, random_pulses(rng, 4, 0.05))
+            total_propagator_exact(gen, pulses)
+        with pytest.raises(ValueError, match="base generator does not map Hermitian"):
+            machnes_gradient(gen, pulses, random_complex(rng, (64, 64)))
 
     def test_memory(self, rng):
         # scenario (d), M = 128: the real chain holds a few 64 x 64 arrays;
@@ -679,6 +672,22 @@ class TestSplitKronecker:
         machnes_gradient(gen, pulses, target)
         assert calls == [(gen.dim, gen.dim)]
 
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("scenario_id", ["a", "d"])
+    def test_noisy_machnes_gradient_skips_dense_kernel(self, scenario_id, kind, rng, monkeypatch):
+        # the dense steps are real exponentials in the Hermitian basis, so
+        # piecewise_steps never sees a (d^2, d^2) generator
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        pulses = catalog_generator_and_pulses(scenario, rng)[1]
+
+        def steps(base, *args):
+            raise AssertionError(f"piecewise_steps called on a {np.shape(base)} generator")
+
+        monkeypatch.setattr(lindblad._kernels, "piecewise_steps", steps)
+        machnes_gradient(gen, pulses, target_superoperator(scenario))
+
     def test_split_propagator_takes_unitaries_from_one_kernel_call(self, rng, monkeypatch):
         # the interval unitaries come from one piecewise_steps call on the
         # d x d -iH, not from an eigendecomposition
@@ -771,12 +780,12 @@ class TestSplitKronecker:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("gradient, mib", [(split_gradient, 8), (machnes_gradient, 14)])
+    @pytest.mark.parametrize("gradient, mib", [(split_gradient, 8), (machnes_gradient, 10)])
     def test_gradient_memory(self, gradient, mib, rng):
-        # scenario (d), M = 128: the forward products on the 36 kept input
-        # columns are one (M + 1, d^2, 36) array, 4.5 MiB; on all 64
-        # columns they would be 8.1 MiB.  machnes_gradient also holds its
-        # (M, d^2, d^2) dense steps, 8 MiB
+        # scenario (d), M = 128: split_gradient's complex forward products
+        # on the 36 kept input columns are one (M + 1, d^2, 36) array, 4.5
+        # MiB.  machnes_gradient holds its real (M, d^2, d^2) steps, 4 MiB,
+        # and its real (M + 1, d^2, d^2) forward products, 4.1 MiB
         scenario = scenario_catalog()[3]
         gen = build_generator(
             scenario.system,
