@@ -39,6 +39,7 @@ from spinctrl.model import (
     SpinSystem,
     build_collapse_ops,
     build_controls,
+    embed,
     pauli,
     scenario_catalog,
 )
@@ -76,17 +77,19 @@ def exact_interval(gen, hx, hy, dt):
 def split_factors(gen, hx, hy, dt):
     """Dense split factors (decay, jump, coherent) of one interval.
 
-    A and B are the library's memoised noise factors, ``E kron conj(E)``
-    and the jump factor; C is SciPy's ``expm`` of the ``(d^2, d^2)``
-    commutator generator, so ``A @ B @ C`` is the split step without the
-    library's d x d contractions.
+    All three come from SciPy's ``expm``, not from the library's memoised
+    noise factors: A is ``E kron conj(E)`` with the d x d ``E = expm(dt
+    K)``, B the ``(d^2, d^2)`` exponential of ``dt jump_part``, and C that
+    of the commutator generator, so ``A @ B @ C`` is the split step without
+    the library's plane forms and contractions.
     """
-    e, b, _ = lindblad._noise_factors(gen, dt)
+    e = scipy.linalg.expm(dt * gen.decay)
     coherent = dt * (
         assemble_hamiltonian_super(gen.drift)
         + hx * gen.control_comms[0] + hy * gen.control_comms[1]
     )
-    return kron(e, np.conj(e)), b.toarray(), scipy.linalg.expm(coherent)
+    return (kron(e, np.conj(e)), scipy.linalg.expm(dt * gen.jump_part),
+            scipy.linalg.expm(coherent))
 
 
 def forbid_lindblad_expm(monkeypatch, message):
@@ -426,6 +429,14 @@ class TestSplit:
         assert np.array_equal(split_propagator(gen, pulses), total)
         with pytest.raises(ValueError):
             factors[0][0, 0] = 0.0
+        # the jump factor's real plane form and its transpose, both sparse
+        _, b, b_t = factors
+        assert b.shape == b_t.shape == (2 * gen.dim**2,) * 2
+        assert np.array_equal(b_t.toarray(), b.toarray().T)
+        for planes in (b, b_t):
+            for a in (planes.data, planes.indices, planes.indptr):
+                with pytest.raises(ValueError):
+                    a[0] = 0
         with pytest.raises(ValueError):
             gen.jump_part[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -559,10 +570,18 @@ class TestSplitKronecker:
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_contraction_helpers(self, d, rng):
-        u = random_unitary(rng, d)
-        x = random_complex(rng, (d * d, d * d))
-        c = kron(u, np.conj(u))
-        assert np.max(np.abs(lindblad._kron_conj_left(u, x) - c @ x)) < 1e-12
+        # a folded step W = U E is not unitary; the real transposes of its
+        # planes are the planes of W^dag
+        w = random_complex(rng, (d, d))
+        x = random_complex(rng, (d * d, 5))
+        planes = lindblad._planes(x)
+        assert planes.shape == (2 * d * d, 5)
+        for ket, bra, z in (
+            (lindblad._ket_planes(w), lindblad._bra_planes(w), w),
+            (lindblad._ket_planes(w).T, lindblad._bra_planes(w).T, dagger(w)),
+        ):
+            want = lindblad._planes(kron(z, np.conj(z)) @ x)
+            assert np.max(np.abs(lindblad._coherent(ket, bra, planes) - want)) < 1e-12
 
     def check_against_dense(self, gen, pulses, target):
         total, f, grad = dense_split_chain(gen, pulses, target)
@@ -626,6 +645,32 @@ class TestSplitKronecker:
         d2 = gen.dim**2
         pulses = random_pulses(rng, num_pulses, 2.1 / 32, 5.0)
         self.check_against_dense(gen, pulses, random_complex(rng, (d2, d2)))
+
+    @pytest.mark.parametrize("scenario_id", ["a", "d"])
+    def test_complex_jump_factor(self, scenario_id, rng):
+        # catalog noise has only sigma_minus and sigma_z, so B is real; the
+        # collapse operator sigma_x + i sigma_z on one site makes L kron
+        # conj(L), and B, complex, so B enters the real chain through its
+        # J-coupled entries
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        gen = build_generator(scenario.system, scenario.control_site, None)
+        op = embed(pauli("x") + 1j * pauli("z"), 0, scenario.num_qubits)
+        jump, gram, ident = 0.2 * kron(op, np.conj(op)), 0.2 * dagger(op) @ op, np.eye(gen.dim)
+        decay_part = -0.5 * (kron(gram, ident) + kron(ident, np.conj(gram)))
+        gen = dataclasses.replace(
+            gen, base=gen.base + jump + decay_part, jump_part=jump, decay=-0.5 * gram
+        )
+        pulses = random_pulses(
+            rng, 8, scenario.total_time / scenario.num_pulses, scenario.h_max
+        )
+        b = scipy.linalg.expm(pulses.dt * jump)
+        assert np.max(np.abs(b.imag)) > 1e-3
+        planes = lindblad._noise_factors(gen, pulses.dt)[1]
+        x = random_complex(rng, (gen.dim**2, 3))
+        assert np.max(np.abs(planes @ lindblad._planes(x) - lindblad._planes(b @ x))) < 1e-14
+        d2 = gen.dim**2
+        for target in (target_superoperator(scenario), random_complex(rng, (d2, d2))):
+            self.check_against_dense(gen, pulses, target)
 
     @pytest.mark.parametrize("scenario_id", list("abcdef"))
     def test_noiseless_gradients_match_dense_chains(self, scenario_id, rng):
@@ -782,10 +827,12 @@ class TestSplitKronecker:
 
     @pytest.mark.parametrize("gradient, mib", [(split_gradient, 8), (machnes_gradient, 10)])
     def test_gradient_memory(self, gradient, mib, rng):
-        # scenario (d), M = 128: split_gradient's complex forward products
-        # on the 36 kept input columns are one (M + 1, d^2, 36) array, 4.5
-        # MiB.  machnes_gradient holds its real (M, d^2, d^2) steps, 4 MiB,
-        # and its real (M + 1, d^2, d^2) forward products, 4.1 MiB
+        # scenario (d), M = 128: split_gradient keeps its real-plane steps
+        # before B on the 36 kept input columns, one (M, 2 d^2, 36) array,
+        # 4.5 MiB, and no complex forward stack or transposed copies of the
+        # (2d, 2d) plane blocks.  machnes_gradient holds its real (M, d^2,
+        # d^2) steps, 4 MiB, and its real (M + 1, d^2, d^2) forward
+        # products, 4.1 MiB
         scenario = scenario_catalog()[3]
         gen = build_generator(
             scenario.system,
