@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -92,16 +92,23 @@ class Generator:
 
     ``base`` is the control-independent ``(d^2, d^2)`` generator, the drift
     commutator ``K(H0)`` plus the dissipator, and ``control_comms`` the
-    commutators ``K(H)`` of the two controls.  Dense ``(d^2, d^2)`` steps
-    are exponentials of their real forms in :func:`_real_parts`, memoised
-    per generator, but for d <= 4 exact propagation runs ``piecewise_total``.
-    ``drift`` and ``controls`` are the d x d Hamiltonians.  The split method
-    exponentiates the dissipator's two parts apart: ``jump_part`` is the
-    ``(d^2, d^2)`` ``sum gamma L kron conj(L)``, whose exponential B the
-    split chain applies in its real plane form (:func:`_noise_factors`),
-    and ``decay`` is the d x d ``K = -1/2 sum gamma L^dag L``, whose ``K
-    kron I + I kron conj(K)`` is the rest.  The arrays are made read-only,
-    so the split noise factors memoised per generator cannot go stale.
+    commutators ``K(H)`` of the two controls.  ``drift`` and ``controls``
+    are the d x d Hamiltonians.  The split method exponentiates the
+    dissipator's two parts apart: ``jump_part`` is the ``(d^2, d^2)`` ``sum
+    gamma L kron conj(L)``, whose exponential B the split chain applies in
+    its real plane form (:func:`_noise_factors`), and ``decay`` is the d x
+    d ``K = -1/2 sum gamma L^dag L``, whose ``K kron I + I kron conj(K)``
+    is the rest.  The arrays are made read-only, so the split noise factors
+    memoised per generator cannot go stale.
+
+    Construction adds ``basis``, the unitary ``(d^2, d^2)`` S with columns
+    ``vec E_cc`` and, for c < e, ``(E_ce + E_ec) / sqrt 2`` and ``i (E_ce -
+    E_ec) / sqrt 2``, and ``real_parts``, the read-only real ``S^dag X S``
+    of ``base`` and both ``control_comms``: a map that takes Hermitian
+    matrices to Hermitian ones is real in this basis (Havel, J. Math. Phys.
+    44, 534 (2003)), and :func:`_real_steps` exponentiates them.  Raises
+    ``ValueError`` on a shape that disagrees with ``dim``, and on an ``S^dag
+    X S`` whose imaginary part exceeds 1e-12 of its norm, rather than drop it.
     """
 
     base: np.ndarray
@@ -111,20 +118,48 @@ class Generator:
     drift: np.ndarray
     controls: tuple
     decay: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False)
+    real_parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("base", "jump_part", "drift", "decay"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
-        for name in ("control_comms", "controls"):
-            object.__setattr__(self, name, tuple(map(_read_only, getattr(self, name))))
+        d, half = self.dim, math.sqrt(0.5)
+        for name, n in (("base", d * d), ("jump_part", d * d), ("drift", d), ("decay", d)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), name, n))
+        for name, n in (("control_comms", d * d), ("controls", d)):
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2:
+                raise ValueError(f"{name} must hold 2 arrays, got {len(pair)}")
+            object.__setattr__(self, name, tuple(_read_only(a, name, n) for a in pair))
+        rows, cols = np.triu_indices(d, 1)
+        ce, ec = rows * d + cols, cols * d + rows
+        sym = np.arange(d, d + rows.size)
+        s = np.zeros((d * d, d * d), dtype=np.complex128)
+        s[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+        s[ce, sym] = s[ec, sym] = half
+        s[ce, sym + rows.size], s[ec, sym + rows.size] = 1j * half, -1j * half
+        parts = []
+        for name, x in zip(("base", "hx control", "hy control"), (self.base, *self.control_comms)):
+            r = dagger(s) @ x @ s
+            if np.linalg.norm(r.imag) > 1e-12 * np.linalg.norm(r):
+                raise ValueError(
+                    f"the {name} generator does not map Hermitian matrices to Hermitian ones"
+                )
+            r = np.ascontiguousarray(r.real)
+            r.flags.writeable = False
+            parts.append(r)
+        s.flags.writeable = False
+        object.__setattr__(self, "basis", s)
+        object.__setattr__(self, "real_parts", tuple(parts))
 
     def at(self, hx, hy):
         """Full generator F(hx, hy)."""
         return self.base + hx * self.control_comms[0] + hy * self.control_comms[1]
 
 
-def _read_only(a):
+def _read_only(a, name, n):
     a = np.asarray(a, dtype=np.complex128)
+    if a.shape != (n, n):
+        raise ValueError(f"{name} must have shape {(n, n)}, got {a.shape}")
     a.flags.writeable = False
     return a
 
@@ -186,15 +221,14 @@ def total_propagator_exact(gen, pulses):
     """Exact propagator of the whole sequence; interval 0 acts first.
 
     For d <= 4 this is one ``_kernels.piecewise_total`` call.  For d >= 8
-    the chain runs on the real generators of :func:`_real_parts`: one
-    ``scipy.linalg.expm`` per interval of the real ``dt (R_base + hx R_x +
-    hy R_y)``, multiplied onto a running real product, and the result is
-    ``S total S^dag``.  With one BLAS thread on a 2-core Xeon, on scenario
-    (d) with 128 intervals, that takes 27 ms against 70 ms for the
-    compiled kernel (best of 15).  At d^2 = 16 it is no faster (0.94
-    against 0.75 ms on (a)), and SciPy's loop holds the interpreter lock
-    that the compiled one releases, so the GA's worker threads would no
-    longer overlap.  An empty sequence gives exactly the identity.
+    the steps of :func:`_real_steps` are multiplied onto a running real
+    product, and the result is ``S total S^dag`` with S the generator's
+    ``basis``.  With one BLAS thread on a 2-core Xeon, on scenario (d) with
+    128 intervals, that takes 27 ms against 70 ms for the compiled kernel
+    (best of 15).  At d^2 = 16 it is no faster (0.94 against 0.75 ms on
+    (a)), and SciPy's loop holds the interpreter lock that the compiled one
+    releases, so the GA's worker threads would no longer overlap.  An empty
+    sequence gives exactly the identity.
     """
     if gen.dim <= 4:
         return _kernels.piecewise_total(
@@ -204,51 +238,19 @@ def total_propagator_exact(gen, pulses):
     d2 = gen.dim * gen.dim
     if not pulses.num_pulses:
         return np.eye(d2, dtype=np.complex128)
-    s, r_base, r_x, r_y = _real_parts(gen)
-    dt, total = pulses.dt, np.eye(d2)
+    total = np.eye(d2)
+    for step in _real_steps(gen, pulses):
+        total = step @ total
+    return gen.basis @ total @ dagger(gen.basis)
+
+
+def _real_steps(gen, pulses):
+    """Yield the real step ``expm(dt (R_base + hx R_x + hy R_y))`` of each
+    interval, interval 0 first, from the generator's ``real_parts``: the
+    step is ``S^dag expm(dt F(hx, hy)) S`` in its ``basis`` S."""
+    (r_base, r_x, r_y), dt = gen.real_parts, pulses.dt
     for hx, hy in zip(pulses.hx, pulses.hy):
-        total = scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y)) @ total
-    return s @ total @ dagger(s)
-
-
-_REAL_PARTS = weakref.WeakKeyDictionary()
-
-
-def _real_parts(gen):
-    """The Hermitian basis S and the real generators ``S^dag X S`` of
-    ``base`` and both ``control_comms``, built once per generator.
-
-    The columns of the unitary ``(d^2, d^2)`` S are ``vec E_cc`` and, for
-    the pairs c < e, ``(E_ce + E_ec) / sqrt 2`` and ``i (E_ce - E_ec) /
-    sqrt 2``: an orthonormal basis of Hermitian matrices.  A map that
-    takes Hermitian matrices to Hermitian ones, as every Lindbladian does,
-    is a real matrix in it (Havel, J. Math. Phys. 44, 534 (2003)).  Raises
-    ``ValueError`` when a part's imaginary component exceeds 1e-12 of its
-    norm, rather than drop it.  The parts are read-only.
-    """
-    parts = _REAL_PARTS.get(gen)
-    if parts is None:
-        d, half = gen.dim, math.sqrt(0.5)
-        rows, cols = np.triu_indices(d, 1)
-        ce, ec = rows * d + cols, cols * d + rows
-        sym = np.arange(d, d + rows.size)
-        s = np.zeros((d * d, d * d), dtype=np.complex128)
-        s[np.arange(d) * (d + 1), np.arange(d)] = 1.0
-        s[ce, sym] = s[ec, sym] = half
-        s[ce, sym + rows.size], s[ec, sym + rows.size] = 1j * half, -1j * half
-        parts = [s]
-        for name, x in zip(("base", "hx control", "hy control"), (gen.base, *gen.control_comms)):
-            r = dagger(s) @ x @ s
-            if np.linalg.norm(r.imag) > 1e-12 * np.linalg.norm(r):
-                raise ValueError(
-                    f"the {name} generator does not map Hermitian matrices to Hermitian ones"
-                )
-            r = np.ascontiguousarray(r.real)
-            r.flags.writeable = False
-            parts.append(r)
-        s.flags.writeable = False
-        parts = _REAL_PARTS[gen] = tuple(parts)
-    return parts
+        yield scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y))
 
 
 _NOISE_FACTORS = weakref.WeakKeyDictionary()
@@ -526,12 +528,13 @@ def machnes_gradient(gen, pulses, target):
     (:func:`_unitary_gradient`).
 
     With collapse operators the step ``X_k = S R_k S^dag`` is taken, for
-    every d, as the real ``R_k = expm(dt (R_base + hx R_x + hy R_y))`` of
-    :func:`_real_parts`, and its derivative as ``dt R_c R_k``.  The chain
-    runs on all d^2 columns of the Hermitian basis S and scores against
-    ``Re(S^dag T S) / d^2``, exact for any complex target as the chain is
-    real.  The forward products ``fwd_k = R_{k-1} ... R_0`` are stored;
-    ``bt`` is the transposed product of that score and the later steps.
+    every d, as the real ``R_k`` of :func:`_real_steps`, and its derivative
+    as ``dt R_c R_k``, ``R_c`` the generator's real part along c.  The chain
+    runs on all d^2 columns of the generator's ``basis`` S and scores
+    against ``Re(S^dag T S) / d^2``, exact for any complex target as the
+    chain is real.  The steps and the forward products ``fwd_k = R_{k-1}
+    ... R_0`` are stored; ``bt``, the transposed product of that score and
+    the later steps, runs back through them.
     Returns ``(f, grad)``: ``grad[:M]`` along hx, ``grad[M:]`` along hy.
     """
     target = _checked_target(gen, target)
@@ -540,11 +543,11 @@ def machnes_gradient(gen, pulses, target):
         u = _interval_unitaries(gen, pulses)
         return _unitary_gradient(u, -1j * dt * np.stack(gen.controls)[:, None], target)
 
-    s, r_base, r_x, r_y = _real_parts(gen)
+    s, (_, r_x, r_y) = gen.basis, gen.real_parts
     steps, fwd = np.empty((m,) + s.shape), np.empty((m + 1,) + s.shape)
     fwd[0] = np.eye(len(s))
-    for k, (hx, hy) in enumerate(zip(pulses.hx, pulses.hy)):
-        steps[k] = scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y))
+    for k, step in enumerate(_real_steps(gen, pulses)):
+        steps[k] = step
         np.matmul(steps[k], fwd[k], out=fwd[k + 1])
     bt = (dagger(s) @ target @ s).real / len(s)
     fidelity = float(np.sum(bt * fwd[m]))

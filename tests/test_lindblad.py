@@ -1,8 +1,10 @@
 import dataclasses
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -322,18 +324,47 @@ class TestExactPropagation:
 
     def test_rejects_generator_that_breaks_hermiticity(self, rng):
         # the commutator -i [H, rho] of a non-Hermitian H is not real in the
-        # Hermitian basis: its imaginary part must not be dropped, neither by
-        # exact propagation nor by the noisy first-order gradient
-        gen = build_generator(
-            SpinSystem.chain(3), 1, NoiseSpec.on_all_sites("amplitude_damping", 0.1, 3)
-        )
-        h, ident = random_complex(rng, (8, 8)), np.eye(8)
-        gen = dataclasses.replace(gen, base=-1j * (kron(h, ident) - kron(ident, h.T)))
-        pulses = random_pulses(rng, 4, 0.05)
-        with pytest.raises(ValueError, match="base generator does not map Hermitian"):
-            total_propagator_exact(gen, pulses)
-        with pytest.raises(ValueError, match="base generator does not map Hermitian"):
-            machnes_gradient(gen, pulses, random_complex(rng, (64, 64)))
+        # Hermitian basis: construction rejects it for every d, rather than
+        # leave exact propagation to drop its imaginary part (d >= 8) or
+        # propagate it (d <= 4)
+        for n in (2, 3):
+            gen = build_generator(
+                SpinSystem.chain(n), 1, NoiseSpec.on_all_sites("amplitude_damping", 0.1, n)
+            )
+            h, ident = random_complex(rng, (gen.dim, gen.dim)), np.eye(gen.dim)
+            comm = -1j * (kron(h, ident) - kron(ident, h.T))
+            for part, changes in (
+                ("base", {"base": comm}),
+                ("hx control", {"control_comms": (comm, gen.control_comms[1])}),
+            ):
+                with pytest.raises(ValueError, match=f"the {part} generator does not map"):
+                    dataclasses.replace(gen, **changes)
+
+    def test_concurrent_first_use_matches_serial(self, rng):
+        # nothing mutable is shared: a fresh generator's first calls from
+        # four threads at once give the serial results bit for bit
+        scenario = scenario_catalog()[3]
+        noise = NoiseSpec.on_all_sites("amplitude_damping", 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        target = target_superoperator(scenario)
+        dt = scenario.total_time / scenario.num_pulses
+        inputs = [random_pulses(rng, 8, dt, scenario.h_max) for _ in range(4)]
+        barrier = threading.Barrier(len(inputs))
+
+        def run(pulses):
+            return total_propagator_exact(gen, pulses), *machnes_gradient(gen, pulses, target)
+
+        def run_together(pulses):
+            barrier.wait()
+            return run(pulses)
+
+        with ThreadPoolExecutor(len(inputs)) as pool:
+            concurrent = list(pool.map(run_together, inputs))
+        for pulses, got in zip(inputs, concurrent):
+            want = run(pulses)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            assert np.array_equal(got[2], want[2])
 
     def test_memory(self, rng):
         # scenario (d), M = 128: the real chain holds a few 64 x 64 arrays;
@@ -356,7 +387,55 @@ class TestExactPropagation:
         assert peak < 2**20
 
 
+GENERATOR_FIELDS = [
+    ("base", None), ("jump_part", None), ("drift", None), ("decay", None),
+    ("control_comms", 0), ("control_comms", 1), ("controls", 0), ("controls", 1),
+]
+
+
 class TestGeneratorInvariants:
+    @pytest.mark.parametrize("name, index", GENERATOR_FIELDS)
+    def test_rejects_field_of_wrong_shape(self, name, index):
+        # d = 4: a (3, 3) array fits neither a d x d nor a (d^2, d^2) field
+        gen = build_generator(
+            SpinSystem.chain(2), 1, NoiseSpec.on_all_sites("phase_damping", 0.1, 2)
+        )
+        value = np.zeros((3, 3))
+        if index is not None:
+            value = tuple(value if i == index else a for i, a in enumerate(getattr(gen, name)))
+        with pytest.raises(ValueError, match=rf"^{name} must have shape"):
+            dataclasses.replace(gen, **{name: value})
+
+    def test_rejects_dim_that_disagrees_with_fields(self):
+        scenario = scenario_catalog()[0]
+        gen = build_generator(scenario.system, scenario.control_site, None)
+        with pytest.raises(ValueError, match=r"^base must have shape \(4, 4\), got \(16, 16\)"):
+            dataclasses.replace(gen, dim=2)
+        with pytest.raises(ValueError, match="^control_comms must hold 2 arrays, got 3"):
+            dataclasses.replace(gen, control_comms=gen.control_comms + (gen.base,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stored_real_parts(self, n):
+        def noisy(kind):
+            noise = NoiseSpec.on_all_sites(kind, 0.1, n)
+            return build_generator(SpinSystem.chain(n), 0, noise)
+
+        gen, other = noisy("amplitude_damping"), noisy("phase_damping")
+        s = gen.basis
+        assert not s.flags.writeable
+        assert np.max(np.abs(dagger(s) @ s - np.eye(gen.dim**2))) < 1e-14
+        for r, x in zip(gen.real_parts, (gen.base, *gen.control_comms), strict=True):
+            assert r.dtype == np.float64 and r.flags.c_contiguous and not r.flags.writeable
+            full = dagger(s) @ x @ s
+            assert np.array_equal(r, full.real)
+            assert np.linalg.norm(full.imag) < 1e-12 * np.linalg.norm(full)
+        # the parts follow a replaced base, and only the base's part changes
+        swapped = dataclasses.replace(gen, base=other.base)
+        assert np.array_equal(swapped.real_parts[0], other.real_parts[0])
+        assert not np.array_equal(swapped.real_parts[0], gen.real_parts[0])
+        for a, b in zip(swapped.real_parts[1:], gen.real_parts[1:]):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     def test_trace_preservation_of_generator(self, kind, rng):
         n = 2
