@@ -88,48 +88,62 @@ class PulseSequence:
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Assembled Lindbladian pieces for one system + noise configuration.
+    """The Lindblad model of one system and noise configuration, with every
+    superoperator the propagators read derived from it.
 
-    ``base`` is the control-independent ``(d^2, d^2)`` generator, the drift
-    commutator ``K(H0)`` plus the dissipator, and ``control_comms`` the
-    commutators ``K(H)`` of the two controls.  ``drift`` and ``controls``
-    are the d x d Hamiltonians.  The split method exponentiates the
-    dissipator's two parts apart: ``jump_part`` is the ``(d^2, d^2)`` ``sum
-    gamma L kron conj(L)``, whose exponential B the split chain applies in
-    its real plane form (:func:`_noise_factors`), and ``decay`` is the d x
-    d ``K = -1/2 sum gamma L^dag L``, whose ``K kron I + I kron conj(K)``
-    is the rest.  The arrays are made read-only, so the split noise factors
-    memoised per generator cannot go stale.
+    The inputs are ``drift``, the d x d Hamiltonian H0, which sets d;
+    ``controls``, the two d x d Hamiltonians of hx and hy; and ``collapse``,
+    the ``(L, gamma)`` pairs of :func:`spinctrl.model.build_collapse_ops`.
+    Arrays and rates must be finite, rates >= 0 and Hamiltonians Hermitian,
+    else ``ValueError``.  The arrays are made read-only in place, not copied.
 
-    Construction adds ``basis``, the unitary ``(d^2, d^2)`` S with columns
-    ``vec E_cc`` and, for c < e, ``(E_ce + E_ec) / sqrt 2`` and ``i (E_ce -
-    E_ec) / sqrt 2``, and ``real_parts``, the read-only real ``S^dag X S``
-    of ``base`` and both ``control_comms``: a map that takes Hermitian
-    matrices to Hermitian ones is real in this basis (Havel, J. Math. Phys.
-    44, 534 (2003)), and :func:`_real_steps` exponentiates them.  Raises
-    ``ValueError`` on a shape that disagrees with ``dim``, and on an ``S^dag
-    X S`` whose imaginary part exceeds 1e-12 of its norm, rather than drop it.
+    Every other field is derived and read-only.  ``base`` is the ``(d^2,
+    d^2)`` control-independent generator ``K(H0)`` plus the dissipator, and
+    ``control_comms`` the commutators ``K(H)`` of the two controls.  The
+    split method takes the dissipator in two parts: ``jump_part``, the
+    ``(d^2, d^2)`` ``sum gamma L kron conj(L)`` (see :func:`_noise_factors`),
+    and ``decay``, the d x d ``K = -1/2 sum gamma L^dag L`` of ``K kron I +
+    I kron conj(K)``.  ``basis`` is the unitary ``(d^2, d^2)`` S with
+    columns ``vec E_cc`` and, for c < e, ``(E_ce + E_ec) / sqrt 2`` and ``i
+    (E_ce - E_ec) / sqrt 2``, and ``real_parts`` the real ``S^dag X S`` of
+    ``base`` and both ``control_comms``, which :func:`_real_steps`
+    exponentiates.  A Lindblad generator with Hermitian H maps Hermitian
+    matrices to Hermitian ones (Lindblad, Commun. Math. Phys. 48, 119
+    (1976)), so it is real in this basis (Havel, J. Math. Phys. 44, 534
+    (2003)).
     """
 
-    base: np.ndarray
-    control_comms: tuple
-    dim: int
-    jump_part: np.ndarray
     drift: np.ndarray
     controls: tuple
-    decay: np.ndarray
+    collapse: tuple = ()
+    dim: int = field(init=False)
+    base: np.ndarray = field(init=False, repr=False)
+    control_comms: tuple = field(init=False, repr=False)
+    jump_part: np.ndarray = field(init=False, repr=False)
+    decay: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
     real_parts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        d, half = self.dim, math.sqrt(0.5)
-        for name, n in (("base", d * d), ("jump_part", d * d), ("drift", d), ("decay", d)):
-            object.__setattr__(self, name, _read_only(getattr(self, name), name, n))
-        for name, n in (("control_comms", d * d), ("controls", d)):
-            pair = tuple(getattr(self, name))
-            if len(pair) != 2:
-                raise ValueError(f"{name} must hold 2 arrays, got {len(pair)}")
-            object.__setattr__(self, name, tuple(_read_only(a, name, n) for a in pair))
+        h0 = np.asarray(self.drift, dtype=np.complex128)
+        if h0.ndim != 2 or not 0 < len(h0) == h0.shape[1]:
+            raise ValueError(f"drift must be a non-empty square matrix, got shape {h0.shape}")
+        d, half = len(h0), math.sqrt(0.5)
+        controls = tuple(_checked(h, "controls", d) for h in self.controls)
+        if len(controls) != 2:
+            raise ValueError(f"controls must hold 2 arrays, got {len(controls)}")
+        collapse = tuple((_checked(op, "collapse", d), float(gamma)) for op, gamma in self.collapse)
+        if not all(0 <= gamma < math.inf for _, gamma in collapse):
+            raise ValueError("collapse rates must be finite and >= 0")
+        jump, decay_part = (np.zeros((d * d, d * d), dtype=np.complex128) for _ in range(2))
+        ident, k = np.eye(d, dtype=np.complex128), np.zeros((d, d), dtype=np.complex128)
+        for op, gamma in collapse:
+            gram = dagger(op) @ op
+            jump += gamma * kron(op, np.conj(op))
+            decay_part += -0.5 * gamma * (kron(gram, ident) + kron(ident, np.conj(gram)))
+            k += -0.5 * gamma * gram
+        base = assemble_hamiltonian_super(h0) + jump + decay_part
+        comms = tuple(assemble_hamiltonian_super(h) for h in controls)
         rows, cols = np.triu_indices(d, 1)
         ce, ec = rows * d + cols, cols * d + rows
         sym = np.arange(d, d + rows.size)
@@ -137,38 +151,36 @@ class Generator:
         s[np.arange(d) * (d + 1), np.arange(d)] = 1.0
         s[ce, sym] = s[ec, sym] = half
         s[ce, sym + rows.size], s[ec, sym + rows.size] = 1j * half, -1j * half
-        parts = []
-        for name, x in zip(("base", "hx control", "hy control"), (self.base, *self.control_comms)):
-            r = dagger(s) @ x @ s
-            if np.linalg.norm(r.imag) > 1e-12 * np.linalg.norm(r):
-                raise ValueError(
-                    f"the {name} generator does not map Hermitian matrices to Hermitian ones"
-                )
-            r = np.ascontiguousarray(r.real)
-            r.flags.writeable = False
-            parts.append(r)
-        s.flags.writeable = False
-        object.__setattr__(self, "basis", s)
-        object.__setattr__(self, "real_parts", tuple(parts))
+        parts = tuple(np.ascontiguousarray((dagger(s) @ x @ s).real) for x in (base, *comms))
+        for a in (h0, *controls, *(op for op, _ in collapse), base, *comms, jump, k, s, *parts):
+            a.flags.writeable = False
+        self.__dict__.update(drift=h0, controls=controls, collapse=collapse, dim=d, base=base,
+                             control_comms=comms, jump_part=jump, decay=k, basis=s,
+                             real_parts=parts)
 
     def at(self, hx, hy):
         """Full generator F(hx, hy)."""
         return self.base + hx * self.control_comms[0] + hy * self.control_comms[1]
 
 
-def _read_only(a, name, n):
+def _checked(a, name, d):
+    """``a`` as a complex array, which must be d x d and finite."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (n, n):
-        raise ValueError(f"{name} must have shape {(n, n)}, got {a.shape}")
-    a.flags.writeable = False
+    if a.shape != (d, d):
+        raise ValueError(f"{name} must have shape {(d, d)}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     return a
 
 
 def assemble_hamiltonian_super(h):
     """Commutator superoperator K(H) generating ``-i [H, rho]``.  Raises
-    ``ValueError`` when H is more than 1e-10 away from Hermitian: for such
-    an H, ``H kron I - I kron conj(H)`` is not the commutator."""
+    ``ValueError`` when H is not finite, or more than 1e-10 away from
+    Hermitian: for such an H, ``H kron I - I kron conj(H)`` is not the
+    commutator."""
     h = np.asarray(h, dtype=np.complex128)
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian must be finite")
     defect = np.max(np.abs(h - dagger(h))) if h.size else 0.0
     if defect > 1e-10:
         raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
@@ -177,32 +189,11 @@ def assemble_hamiltonian_super(h):
 
 
 def build_generator(system, control_site, noise=None):
-    """Assemble the Generator for a spin system, control site and noise."""
-    h0 = build_drift(system)
-    sx, sy = build_controls(system, control_site)
-    collapse = build_collapse_ops(system, noise) if noise is not None else []
-    dim, d2 = system.dim, system.dim**2
-    jump = np.zeros((d2, d2), dtype=np.complex128)
-    decay_part = np.zeros((d2, d2), dtype=np.complex128)
-    ident = np.eye(dim, dtype=np.complex128)
-    k = np.zeros((dim, dim), dtype=np.complex128)
-    for op, gamma in collapse:
-        gram = dagger(op) @ op
-        jump += gamma * kron(op, np.conj(op))
-        decay_part += -0.5 * gamma * (kron(gram, ident) + kron(ident, np.conj(gram)))
-        k += -0.5 * gamma * gram
-    return Generator(
-        base=assemble_hamiltonian_super(h0) + jump + decay_part,
-        control_comms=(
-            assemble_hamiltonian_super(sx),
-            assemble_hamiltonian_super(sy),
-        ),
-        dim=dim,
-        jump_part=jump,
-        drift=h0,
-        controls=(sx, sy),
-        decay=k,
-    )
+    """The :class:`Generator` of a spin system: its Heisenberg drift, the
+    Zeeman control pair at ``control_site`` and, unless ``noise`` is None,
+    the collapse operators of that channel on its sites."""
+    collapse = build_collapse_ops(system, noise) if noise is not None else ()
+    return Generator(build_drift(system), build_controls(system, control_site), collapse)
 
 
 def unitary_superoperator(u):
@@ -569,8 +560,13 @@ def dt_validity_check(gen, h_max, dt):
     value) of the ``(d^2, d^2)`` generator at full control amplitude; the
     check passes when ``dt`` is at most a tenth of it.  The verdict belongs
     to a run's discretisation, so call it once per run, not per gradient.
-    Returns ``(ok, bound)``.
+    Returns ``(ok, bound)``.  Raises ``ValueError`` unless ``h_max`` is
+    finite and >= 0 and ``dt`` finite and > 0.
     """
+    if not 0 <= h_max < math.inf:
+        raise ValueError("h_max must be finite and >= 0")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
     norm = float(np.linalg.norm(gen.at(h_max, h_max), 2))
     bound = math.inf if norm == 0.0 else 1.0 / norm
     return dt <= bound / 10.0, bound

@@ -123,7 +123,10 @@ class NoiseSpec:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and >= 0")
-        object.__setattr__(self, "sites", tuple(sorted({_index(s, "sites") for s in self.sites})))
+        sites = tuple(sorted({_index(s, "sites") for s in self.sites}))
+        if sites and sites[0] < 0:
+            raise ValueError(f"sites must be >= 0, got {sites[0]}")
+        object.__setattr__(self, "sites", sites)
 
     @classmethod
     def on_all_sites(cls, kind, gamma, n_qubits):
@@ -162,13 +165,11 @@ def build_controls(system, control_site):
 
 def build_collapse_ops(system, noise):
     """Embedded collapse operators, one ``(L, gamma)`` pair per noisy site."""
-    bad = [s for s in noise.sites if s >= system.num_qubits]
+    bad = [s for s in noise.sites if not 0 <= s < system.num_qubits]
     if bad:
         raise ValueError(f"noise sites {bad} out of range for {system.num_qubits} qubits")
     op = noise.collapse_operator()
-    return [
-        (embed(op, site, system.num_qubits), noise.gamma) for site in noise.sites
-    ]
+    return [(embed(op, site, system.num_qubits), noise.gamma) for site in noise.sites]
 
 
 @dataclass(frozen=True, eq=False)

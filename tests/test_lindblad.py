@@ -20,6 +20,7 @@ from conftest import (
 )
 from spinctrl import _kernels, lindblad
 from spinctrl.lindblad import (
+    Generator,
     PulseSequence,
     assemble_hamiltonian_super,
     build_generator,
@@ -221,6 +222,16 @@ class TestHamiltonianSuper:
         with pytest.raises(ValueError, match="not Hermitian"):
             assemble_hamiltonian_super(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        # the Hermiticity defect of a non-finite H is NaN, which no bound
+        # rejects; a generator must not take such a drift either
+        h = np.diag([value, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="^Hamiltonian must be finite"):
+            assemble_hamiltonian_super(h)
+        with pytest.raises(ValueError, match="^Hamiltonian must be finite"):
+            dataclasses.replace(single_qubit_generator(), drift=h)
+
 
 def single_qubit_generator(noise=None, coupling_free=True):
     system = SpinSystem(1)
@@ -324,21 +335,17 @@ class TestExactPropagation:
 
     def test_rejects_generator_that_breaks_hermiticity(self, rng):
         # the commutator -i [H, rho] of a non-Hermitian H is not real in the
-        # Hermitian basis: construction rejects it for every d, rather than
-        # leave exact propagation to drop its imaginary part (d >= 8) or
-        # propagate it (d <= 4)
+        # Hermitian basis: construction rejects such a drift or control for
+        # every d, rather than leave exact propagation to drop its imaginary
+        # part (d >= 8) or propagate it (d <= 4)
         for n in (2, 3):
             gen = build_generator(
                 SpinSystem.chain(n), 1, NoiseSpec.on_all_sites("amplitude_damping", 0.1, n)
             )
-            h, ident = random_complex(rng, (gen.dim, gen.dim)), np.eye(gen.dim)
-            comm = -1j * (kron(h, ident) - kron(ident, h.T))
-            for part, changes in (
-                ("base", {"base": comm}),
-                ("hx control", {"control_comms": (comm, gen.control_comms[1])}),
-            ):
-                with pytest.raises(ValueError, match=f"the {part} generator does not map"):
-                    dataclasses.replace(gen, **changes)
+            h = random_complex(rng, (gen.dim, gen.dim))
+            for drift, controls in ((h, gen.controls), (gen.drift, (h, gen.controls[1]))):
+                with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+                    Generator(drift, controls, gen.collapse)
 
     def test_concurrent_first_use_matches_serial(self, rng):
         # nothing mutable is shared: a fresh generator's first calls from
@@ -387,32 +394,93 @@ class TestExactPropagation:
         assert peak < 2**20
 
 
-GENERATOR_FIELDS = [
-    ("base", None), ("jump_part", None), ("drift", None), ("decay", None),
-    ("control_comms", 0), ("control_comms", 1), ("controls", 0), ("controls", 1),
-]
+WRONG_SHAPES = [("drift", None), ("controls", 0), ("controls", 1), ("collapse", 0)]
+DERIVED_FIELDS = ["dim", "base", "control_comms", "jump_part", "decay", "basis", "real_parts"]
+
+
+def phase_damped_pair():
+    """A 2-qubit chain's generator with phase damping on both sites."""
+    return build_generator(SpinSystem.chain(2), 1, NoiseSpec.on_all_sites("phase_damping", 0.1, 2))
 
 
 class TestGeneratorInvariants:
-    @pytest.mark.parametrize("name, index", GENERATOR_FIELDS)
+    @pytest.mark.parametrize("name, index", WRONG_SHAPES)
     def test_rejects_field_of_wrong_shape(self, name, index):
-        # d = 4: a (3, 3) array fits neither a d x d nor a (d^2, d^2) field
-        gen = build_generator(
-            SpinSystem.chain(2), 1, NoiseSpec.on_all_sites("phase_damping", 0.1, 2)
-        )
-        value = np.zeros((3, 3))
-        if index is not None:
-            value = tuple(value if i == index else a for i, a in enumerate(getattr(gen, name)))
-        with pytest.raises(ValueError, match=rf"^{name} must have shape"):
-            dataclasses.replace(gen, **{name: value})
+        # d = 4: a (4, 3) drift is not square, and a (3, 3) control or
+        # collapse operator is not d x d
+        gen, wrong = phase_damped_pair(), np.zeros((3, 3))
+        changes, expected = {
+            "drift": ({"drift": np.zeros((4, 3))}, "drift must be a non-empty square matrix"),
+            "controls": (
+                {"controls": [wrong if i == index else h for i, h in enumerate(gen.controls)]},
+                "controls must have shape (4, 4), got (3, 3)",
+            ),
+            "collapse": (
+                {"collapse": ((wrong, 0.1),)}, "collapse must have shape (4, 4), got (3, 3)"
+            ),
+        }[name]
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
+            dataclasses.replace(gen, **changes)
 
-    def test_rejects_dim_that_disagrees_with_fields(self):
-        scenario = scenario_catalog()[0]
+    @pytest.mark.parametrize(
+        "case", ["3 controls", "rate -0.1", "rate nan", "rate inf", "control nan", "collapse inf"]
+    )
+    def test_rejects_bad_input(self, case):
+        gen = phase_damped_pair()
+        (hx, hy), op = gen.controls, gen.collapse[0][0]
+        rate_error = "collapse rates must be finite and >= 0"
+        changes, expected = {
+            "3 controls": ({"controls": (hx, hy, hx)}, "controls must hold 2 arrays, got 3"),
+            "rate -0.1": ({"collapse": ((op, -0.1),)}, rate_error),
+            "rate nan": ({"collapse": ((op, np.nan),)}, rate_error),
+            "rate inf": ({"collapse": ((op, np.inf),)}, rate_error),
+            "control nan": ({"controls": (np.where(hx != 0, np.nan, hx), hy)},
+                            "controls must be finite"),
+            "collapse inf": ({"collapse": ((np.where(op != 0, np.inf, op), 0.1),)},
+                             "collapse must be finite"),
+        }[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
+            dataclasses.replace(gen, **changes)
+
+    @pytest.mark.parametrize("name", DERIVED_FIELDS)
+    def test_derived_fields_are_read_only(self, name):
+        # every field but the three inputs is built by construction, so none
+        # can disagree with the drift's d or with another field
+        gen = phase_damped_pair()
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(gen, **{name: getattr(gen, name)})
+        with pytest.raises(TypeError):
+            Generator(gen.drift, gen.controls, gen.collapse, **{name: getattr(gen, name)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gen, name, getattr(gen, name))
+        value = getattr(gen, name)
+        for a in value if isinstance(value, tuple) else (value,):
+            assert isinstance(a, int) or not a.flags.writeable
+
+    def test_inputs_are_frozen_in_place(self):
+        # the caller's complex128 arrays are made read-only, not copied
+        gen = phase_damped_pair()
+        drift = np.array(gen.drift)
+        controls = tuple(np.array(h) for h in gen.controls)
+        op = np.array(gen.collapse[0][0])
+        again = Generator(drift, controls, ((op, 0.1),))
+        assert again.drift is drift and again.controls[0] is controls[0]
+        assert again.collapse[0][0] is op
+        assert not (drift.flags.writeable or controls[1].flags.writeable or op.flags.writeable)
+
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
+    def test_replaced_collapse_matches_fresh_generator(self, kind):
+        # swapping the noise re-derives every field, bit for bit as
+        # build_generator builds them from scratch; gamma = 0 included
+        scenario = scenario_catalog()[3]
+        n = scenario.num_qubits
         gen = build_generator(scenario.system, scenario.control_site, None)
-        with pytest.raises(ValueError, match=r"^base must have shape \(4, 4\), got \(16, 16\)"):
-            dataclasses.replace(gen, dim=2)
-        with pytest.raises(ValueError, match="^control_comms must hold 2 arrays, got 3"):
-            dataclasses.replace(gen, control_comms=gen.control_comms + (gen.base,))
+        for gamma in (0.0, 0.1):
+            noise = kind and NoiseSpec.on_all_sites(kind, gamma, n)
+            fresh = build_generator(scenario.system, scenario.control_site, noise)
+            swapped = dataclasses.replace(gen, collapse=fresh.collapse)
+            for name in ["drift", "controls", *DERIVED_FIELDS]:
+                assert np.array_equal(getattr(swapped, name), getattr(fresh, name))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stored_real_parts(self, n):
@@ -429,8 +497,8 @@ class TestGeneratorInvariants:
             full = dagger(s) @ x @ s
             assert np.array_equal(r, full.real)
             assert np.linalg.norm(full.imag) < 1e-12 * np.linalg.norm(full)
-        # the parts follow a replaced base, and only the base's part changes
-        swapped = dataclasses.replace(gen, base=other.base)
+        # the parts follow swapped noise, and only the base's part changes
+        swapped = dataclasses.replace(gen, collapse=other.collapse)
         assert np.array_equal(swapped.real_parts[0], other.real_parts[0])
         assert not np.array_equal(swapped.real_parts[0], gen.real_parts[0])
         for a, b in zip(swapped.real_parts[1:], gen.real_parts[1:]):
@@ -732,13 +800,11 @@ class TestSplitKronecker:
         # conj(L), and B, complex, so B enters the real chain through its
         # J-coupled entries
         scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
-        gen = build_generator(scenario.system, scenario.control_site, None)
         op = embed(pauli("x") + 1j * pauli("z"), 0, scenario.num_qubits)
-        jump, gram, ident = 0.2 * kron(op, np.conj(op)), 0.2 * dagger(op) @ op, np.eye(gen.dim)
-        decay_part = -0.5 * (kron(gram, ident) + kron(ident, np.conj(gram)))
-        gen = dataclasses.replace(
-            gen, base=gen.base + jump + decay_part, jump_part=jump, decay=-0.5 * gram
-        )
+        gen = build_generator(scenario.system, scenario.control_site, None)
+        gen = dataclasses.replace(gen, collapse=((op, 0.2),))
+        jump = 0.2 * kron(op, np.conj(op))
+        assert np.array_equal(gen.jump_part, jump)
         pulses = random_pulses(
             rng, 8, scenario.total_time / scenario.num_pulses, scenario.h_max
         )
@@ -750,6 +816,23 @@ class TestSplitKronecker:
         d2 = gen.dim**2
         for target in (target_superoperator(scenario), random_complex(rng, (d2, d2))):
             self.check_against_dense(gen, pulses, target)
+
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("scenario_id", ["a", "d"])
+    def test_zero_rate_matches_noiseless(self, scenario_id, kind, rng):
+        # collapse operators at gamma = 0 leave every entry point on its
+        # noiseless branch, bit for bit
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        gen, pulses = catalog_generator_and_pulses(scenario, rng)
+        noise = NoiseSpec.on_all_sites(kind, 0.0, scenario.num_qubits)
+        zero = build_generator(scenario.system, scenario.control_site, noise)
+        assert len(zero.collapse) == scenario.num_qubits
+        target = target_superoperator(scenario)
+        for propagator in (total_propagator_exact, split_propagator):
+            assert np.array_equal(propagator(zero, pulses), propagator(gen, pulses))
+        for gradient in (split_gradient, machnes_gradient):
+            (f, grad), want = gradient(zero, pulses, target), gradient(gen, pulses, target)
+            assert f == want[0] and np.array_equal(grad, want[1])
 
     @pytest.mark.parametrize("scenario_id", list("abcdef"))
     def test_noiseless_gradients_match_dense_chains(self, scenario_id, rng):
@@ -940,6 +1023,15 @@ class TestValidityCheck:
         gen = single_qubit_generator()
         ok, bound = dt_validity_check(gen, 0.0, 123.0)
         assert ok and bound == np.inf
+
+    @pytest.mark.parametrize("h_max, dt, name", [
+        (100.0, -1.0, "dt"), (100.0, 0.0, "dt"), (100.0, np.nan, "dt"), (100.0, np.inf, "dt"),
+        (-1.0, 0.01, "h_max"), (np.nan, 0.01, "h_max"), (np.inf, 0.01, "h_max"),
+    ])
+    def test_rejects_bad_input(self, h_max, dt, name):
+        gen = build_generator(SpinSystem.chain(2), 0, None)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dt_validity_check(gen, h_max, dt)
 
     def test_catalog_scenario_violates_bound(self):
         scenario = scenario_catalog()[0]

@@ -131,6 +131,10 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="sites"):
             NoiseSpec("phase_damping", 0.1, (0.7, 1))
 
+    def test_rejects_negative_sites(self):
+        with pytest.raises(ValueError, match="^sites must be >= 0, got -1"):
+            NoiseSpec("phase_damping", 0.1, (1, -1))
+
 
 class TestCollapseOps:
     def test_amplitude_damping_single_qubit(self):
@@ -161,6 +165,11 @@ class TestCollapseOps:
             model.build_collapse_ops(
                 SpinSystem(1), NoiseSpec("phase_damping", 1.0, (0, 1))
             )
+        # a negative site set past the constructor's check is caught too
+        noise = NoiseSpec("phase_damping", 1.0, (0,))
+        object.__setattr__(noise, "sites", (-1,))
+        with pytest.raises(ValueError, match=r"noise sites \[-1\] out of range"):
+            model.build_collapse_ops(SpinSystem(1), noise)
 
 
 def swap_oracle():
