@@ -394,7 +394,10 @@ class TestExactPropagation:
         assert peak < 2**20
 
 
-WRONG_SHAPES = [("drift", None), ("controls", 0), ("controls", 1), ("collapse", 0)]
+WRONG_SHAPES = [
+    ("drift", None), ("controls", 0), ("controls", 1), ("control_comms", 0), ("control_comms", 1),
+    ("collapse", 0),
+]
 DERIVED_FIELDS = ["dim", "base", "control_comms", "jump_part", "decay", "basis", "real_parts"]
 
 
@@ -407,13 +410,20 @@ class TestGeneratorInvariants:
     @pytest.mark.parametrize("name, index", WRONG_SHAPES)
     def test_rejects_field_of_wrong_shape(self, name, index):
         # d = 4: a (4, 3) drift is not square, and a (3, 3) control or
-        # collapse operator is not d x d
+        # collapse operator is not d x d; the control commutators are derived,
+        # so one handed in is refused whatever its shape
         gen, wrong = phase_damped_pair(), np.zeros((3, 3))
         changes, expected = {
             "drift": ({"drift": np.zeros((4, 3))}, "drift must be a non-empty square matrix"),
             "controls": (
                 {"controls": [wrong if i == index else h for i, h in enumerate(gen.controls)]},
                 "controls must have shape (4, 4), got (3, 3)",
+            ),
+            "control_comms": (
+                {"control_comms": tuple(
+                    wrong if i == index else k for i, k in enumerate(gen.control_comms)
+                )},
+                "field control_comms is declared with init=False",
             ),
             "collapse": (
                 {"collapse": ((wrong, 0.1),)}, "collapse must have shape (4, 4), got (3, 3)"
