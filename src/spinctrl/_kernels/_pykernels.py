@@ -18,23 +18,17 @@ def expm(a):
 def piecewise_steps(base, kx, ky, hx, hy, dt):
     """Per-interval propagators ``expm(dt * (base + hx[k] kx + hy[k] ky))``.
 
-    Returns an (M, n, n) stack, one propagator per pulse interval.
+    Returns an (M, n, n) stack, one propagator per pulse interval, from one
+    ``expm`` call on the stack of generators.
     """
-    hx = np.asarray(hx, dtype=np.float64)
-    hy = np.asarray(hy, dtype=np.float64)
-    n = base.shape[0]
-    steps = np.empty((hx.shape[0], n, n), dtype=np.complex128)
-    for k in range(hx.shape[0]):
-        steps[k] = expm(dt * (base + hx[k] * kx + hy[k] * ky))
-    return steps
+    hx = np.asarray(hx, dtype=np.float64)[:, None, None]
+    hy = np.asarray(hy, dtype=np.float64)[:, None, None]
+    return expm(dt * (base + hx * kx + hy * ky))
 
 
 def piecewise_total(base, kx, ky, hx, hy, dt):
     """Total propagator of a piecewise-constant generator, interval 0 first."""
-    hx = np.asarray(hx, dtype=np.float64)
-    hy = np.asarray(hy, dtype=np.float64)
-    n = base.shape[0]
-    total = np.eye(n, dtype=np.complex128)
-    for k in range(hx.shape[0]):
-        total = expm(dt * (base + hx[k] * kx + hy[k] * ky)) @ total
+    total = np.eye(base.shape[0], dtype=np.complex128)
+    for step in piecewise_steps(base, kx, ky, hx, hy, dt):
+        total = step @ total
     return total

@@ -377,7 +377,8 @@ def _unitary_close(target, u):
     u_bar = np.conj(u)
     z1 = np.einsum("abce,be->ac", t4, u)
     z2 = np.einsum("abce,ac->eb", t4, u_bar)
-    return float(np.vdot(target, kron(u, u_bar)).real) / d**2, (dagger(z1) + z2) / d**2
+    # Tr(T^dag (U kron conj(U))) is conj(Tr(U^dag Z1)): no (d^2, d^2) kron
+    return float(np.vdot(u, z1).real) / d**2, (dagger(z1) + z2) / d**2
 
 
 def _unitary_gradient(u, gens, target):

@@ -6,7 +6,8 @@ curvature pairs) with gradient projection onto the box and an Armijo
 backtracking line search clipped to the bounds, of at most 20 trials.  The
 GA follows the classic generational loop: two parents by tournament
 selection, two-point crossover, per-gene reset mutation, repeat until the
-next population is full, with optional elitism.
+next population is full.  The two best genomes of each generation survive
+unchanged with their fitness (elitism), so every genome is scored once.
 
 The GA scores each generation on every core the process may run on: each
 genome is one task on a pool of one worker thread per core, at most one
@@ -69,26 +70,22 @@ class Bounds:
         return rng.uniform(self.lower, self.upper, size)
 
 
+KEEP_PROBABILITY = 0.95  # per gene, in mutate
+TOURNAMENT_SIZE = 3
+ELITES = 2
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 64
     generations: int = 300
-    keep_probability: float = 0.95
-    tournament_k: int = 3
-    elitism: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population_size", "generations", "tournament_k", "elitism", "seed"):
+        for name in ("population_size", "generations", "seed"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and >= 4")
-        if not 0.0 <= self.keep_probability <= 1.0:
-            raise ValueError("keep_probability must be in [0, 1]")
-        if self.tournament_k < 1:
-            raise ValueError("tournament_k must be >= 1")
-        if not 0 <= self.elitism < self.population_size:
-            raise ValueError("elitism must be < population_size")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if self.seed < 0:
@@ -140,11 +137,16 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
 
     def eval_neg(x):
         score, grad = obj.evaluate_with_gradient(x)
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != x.shape:
+            raise ValueError(
+                f"objective returned a gradient of shape {grad.shape}, expected {x.shape}"
+            )
         if not np.isfinite(score) or not np.all(np.isfinite(grad)):
             raise RuntimeError(
                 f"objective returned non-finite value at x = {np.asarray(x)!r}"
             )
-        return -float(score), -np.asarray(grad, dtype=np.float64)
+        return -float(score), -grad
 
     x = bounds.clip(np.asarray(start, dtype=np.float64).copy())
     phi, gphi = eval_neg(x)
@@ -229,15 +231,15 @@ def crossover_two_point(x, y, rng):
     return np.where(outer, x, y), np.where(outer, y, x)
 
 
-def select(population, cfg, rng):
+def select(population, rng):
     """Pick one parent genome from ``(genome, fitness)`` pairs: the best of
-    ``tournament_k`` uniform draws, fitness ties broken toward the lower
+    ``TOURNAMENT_SIZE`` uniform draws, fitness ties broken toward the lower
     population index.
     """
     size = len(population)
     if size == 0:
         raise ValueError("cannot select from an empty population")
-    draws = rng.integers(0, size, size=cfg.tournament_k)
+    draws = rng.integers(0, size, size=TOURNAMENT_SIZE)
     best = min(draws, key=lambda i: (-population[i][1], i))
     return population[best][0]
 
@@ -253,12 +255,15 @@ def _usable_cores():
 def ga_maximize(obj, bounds, num_pulses, cfg):
     """Generational GA over genomes of ``2 * num_pulses`` reals.
 
-    Every generation is evaluated in full; elites survive unchanged and the
-    rest of the next population comes from select / crossover / mutate
-    pairs.  With a deterministic objective the run is a pure function of
-    ``cfg.seed``.  Returns ``(best genome, best score, per-generation best
-    scores)``.  Raises ``RuntimeError`` when no genome of any generation has
-    a finite fitness.
+    The ``ELITES`` best genomes of a generation survive unchanged, with
+    their fitness, at the head of the next; the rest of it comes from
+    select / crossover / mutate pairs and is the only part scored, so the
+    objective is called ``P + (G - 1) (P - ELITES)`` times for population
+    P and G generations.  The best genome of the last generation is thus
+    the best of the run.  With a deterministic objective the run is a pure
+    function of ``cfg.seed``.  Returns ``(best genome, best score,
+    per-generation best scores)``.  Raises ``RuntimeError`` when no genome
+    of any generation has a finite fitness.
 
     Each genome is one task on a thread pool of one worker per core the
     process may run on, at most one per genome, so ``obj.evaluate`` must be
@@ -275,45 +280,40 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
     num_pulses = _index(num_pulses, "num_pulses")
     if num_pulses < 1:
         raise ValueError("num_pulses must be >= 1")
+    size = cfg.population_size
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    population = bounds.uniform(rng, (cfg.population_size, 2 * num_pulses))
-
-    best_genome = None
-    best_score = -np.inf
+    population = bounds.uniform(rng, (size, 2 * num_pulses))
+    fits = np.empty(0)  # of the survivors at the head of the population
     history = []
 
-    with ThreadPoolExecutor(min(_usable_cores(), cfg.population_size)) as pool:
+    with ThreadPoolExecutor(min(_usable_cores(), size)) as pool:
         for generation in range(cfg.generations):
-            fits = np.fromiter(pool.map(obj.evaluate, population), float, len(population))
-            for i in np.flatnonzero(~np.isfinite(fits)):
+            kept = len(fits)
+            new = np.fromiter(pool.map(obj.evaluate, population[kept:]), float, size - kept)
+            for i in np.flatnonzero(~np.isfinite(new)):
                 warnings.warn(
-                    f"discarding genome {i} with non-finite fitness {float(fits[i])}",
+                    f"discarding genome {kept + i} with non-finite fitness {float(new[i])}",
                     stacklevel=2,
                 )
-                fits[i] = -np.inf
-
-            order = sorted(range(cfg.population_size), key=lambda i: (-fits[i], i))
-            best = order[0]
-            history.append(float(fits[best]))
-            if fits[best] > best_score:
-                best_score, best_genome = float(fits[best]), population[best].copy()
+                new[i] = -np.inf
+            fits = np.concatenate([fits, new])
+            order = np.argsort(-fits, kind="stable")  # ties toward the lower index
+            history.append(float(fits[order[0]]))
 
             if generation == cfg.generations - 1:
                 break
 
             scored = list(zip(population, fits))
-            offspring = [population[i].copy() for i in order[: cfg.elitism]]
-            while len(offspring) < cfg.population_size:
-                mom = select(scored, cfg, rng)
-                dad = select(scored, cfg, rng)
+            offspring = list(population[order[:ELITES]])
+            while len(offspring) < size:
+                mom, dad = select(scored, rng), select(scored, rng)
                 sister, brother = crossover_two_point(mom, dad, rng)
-                offspring.append(mutate(sister, cfg.keep_probability, rng, bounds))
-                if len(offspring) < cfg.population_size:
-                    offspring.append(mutate(brother, cfg.keep_probability, rng, bounds))
-            population = np.array(offspring)
+                offspring.append(mutate(sister, KEEP_PROBABILITY, rng, bounds))
+                offspring.append(mutate(brother, KEEP_PROBABILITY, rng, bounds))
+            population, fits = np.array(offspring), fits[order[:ELITES]]
 
-    if best_genome is None:
+    if history[-1] == -np.inf:
         raise RuntimeError(
             f"no genome had a finite fitness in {len(history)} generations"
         )
-    return best_genome, best_score, history
+    return population[order[0]].copy(), history[-1], history

@@ -139,6 +139,7 @@ class TestChains:
         base, kx, ky, _, _ = self._problem(rng, 4, 1)
         total = backend.piecewise_total(base, kx, ky, [], [], 0.1)
         assert np.array_equal(total, np.eye(4))
+        assert backend.piecewise_steps(base, kx, ky, [], [], 0.1).shape == (0, 4, 4)
 
     def test_order_is_first_interval_first(self, backend, rng):
         base = np.zeros((3, 3), dtype=complex)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 
@@ -125,6 +126,15 @@ class TestLbfgs:
         with pytest.raises(ValueError, match="max_iters"):
             lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), np.zeros(2), max_iters=max_iters)
 
+    @pytest.mark.parametrize("shape", [(), (4, 1), (3,)], ids=["scalar", "column", "short"])
+    def test_rejects_gradient_of_wrong_shape(self, shape):
+        objective = Objective(
+            evaluate=sphere, evaluate_with_gradient=lambda x: (sphere(x), np.ones(shape))
+        )
+        message = re.escape(f"gradient of shape {shape}, expected (4,)")
+        with pytest.raises(ValueError, match=message):
+            lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), np.full(4, 0.5))
+
     def test_zero_max_iters_returns_clipped_start(self):
         calls = []
 
@@ -170,19 +180,17 @@ class TestGa:
         assert not np.array_equal(genome, other[0])
 
     def test_elites_survive_unchanged(self):
-        # every gene of every child is redrawn, so a genome of the next
-        # generation equals an elite only if the elite survived; the calls
-        # of one generation come in any order, but all before the next's
+        # survivors keep their fitness, so after the first generation only
+        # the P - ELITES new genomes are scored, and the best genome of the
+        # run is never lost
         calls = []
-        cfg = GaConfig(population_size=8, generations=4, keep_probability=0.0, seed=7)
-        run_ga(cfg, calls)
-        size = cfg.population_size
-        for gen in range(cfg.generations - 1):
-            population = calls[gen * size:(gen + 1) * size]
-            elites = sorted(population, key=sphere, reverse=True)[: cfg.elitism]
-            following = calls[(gen + 1) * size:(gen + 2) * size]
-            for elite in elites:
-                assert any(np.array_equal(elite, x) for x in following)
+        genome, score, history = run_ga(self.CONFIG, calls)
+        size, generations = self.CONFIG.population_size, self.CONFIG.generations
+        assert len(calls) == size + (generations - 1) * (size - optim.ELITES) == 26
+        assert history == sorted(history)
+        scores = [sphere(x) for x in calls]
+        assert score == max(scores) == history[-1]
+        assert any(np.array_equal(genome, x) for x, f in zip(calls, scores) if f == score)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_mutate_consumes_two_draws_per_gene(self, p):
@@ -221,9 +229,9 @@ class TestGa:
             with pytest.raises(RuntimeError, match="no genome had a finite fitness in 4 generations"):
                 ga_maximize(objective, Bounds(-2.0, 2.0), 3, self.CONFIG)
 
-    @pytest.mark.parametrize("name", ["population_size", "generations", "tournament_k", "elitism"])
+    @pytest.mark.parametrize("name", ["population_size", "generations"])
     def test_config_rejects_non_integer_counts(self, name):
-        fields = dict(population_size=8, generations=4, tournament_k=3, elitism=2)
+        fields = dict(population_size=8, generations=4)
         fields[name] += 0.5
         with pytest.raises(ValueError, match=name):
             GaConfig(**fields)
