@@ -23,7 +23,7 @@ import scipy.linalg
 
 from . import _kernels
 from .linalg import dagger, kron
-from .model import build_collapse_ops, build_controls, build_drift
+from .model import _index, build_collapse_ops, build_controls, build_drift, embed
 
 __all__ = [
     "PulseSequence",
@@ -575,6 +575,8 @@ def dt_validity_check(gen, h_max, dt):
 
 def superop_fidelity(a, target, n_qubits):
     """Trace fidelity ``Re Tr(target^dag a) / 2^(2N)`` of two superoperators."""
+    if _index(n_qubits, "n_qubits") < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     a = np.asarray(a, dtype=np.complex128)
     target = np.asarray(target, dtype=np.complex128)
     d2 = 4**n_qubits
@@ -585,42 +587,33 @@ def superop_fidelity(a, target, n_qubits):
     return float(np.vdot(target, a).real) / d2
 
 
-def _ancilla_trace_map(n_qubits, ancilla_sites):
-    """Superoperator R of the partial trace over the ancilla, ``(d_t^2, d^2)``.
-
-    Column i is the vectorized partial trace of the i-th matrix unit, the
-    one whose vector is ``e_i``.
-    """
-    d = 2**n_qubits
-    ancilla = set(ancilla_sites)
-    keep = [s for s in range(n_qubits) if s not in ancilla]
-    units = np.eye(d * d).reshape((d * d,) + (2,) * (2 * n_qubits))
-    batch = 2 * n_qubits
-    row_idx = list(range(n_qubits))
-    col_idx = [s if s in ancilla else n_qubits + s for s in range(n_qubits)]
-    out_idx = [batch] + keep + [n_qubits + s for s in keep]
-    reduced = np.einsum(units, [batch] + row_idx + col_idx, out_idx)
-    return reduced.reshape(d * d, 4 ** len(keep)).T
-
-
 _FITNESS_TARGETS = weakref.WeakKeyDictionary()
 
 
 def fitness_target(scenario):
     """Target ``W`` with ``state_fitness(X) = superop_fidelity(X, W)``.
 
-    The state fitness sums ``Re Tr((U R e_i U^dag)^dag R X e_i)`` over all
-    matrix units, i.e. ``Re <R^dag (U kron conj(U)) R, X>``, normalized by
-    ``z`` instead of ``d^2``.  Without an ancilla ``W`` is the target
-    superoperator.  ``W`` is built once per scenario and returned
+    The state fitness sums ``Re Tr((U R(e_i) U^dag)^dag R(X e_i))`` over
+    all matrix units ``e_i``, with R the partial trace over the ancilla and
+    U the target unitary, normalized by ``z`` instead of ``d^2``.  It is
+    linear in X, so ``W`` is ``d^2 / z`` times the superoperator of the
+    channel ``rho -> U Tr_a(rho) U^dag kron I_a``, whose Kraus operators
+    are ``K_ij = U kron |i><j|`` over ancilla basis states i, j (target
+    sites first, then the ancilla).  Without an ancilla ``W`` is the
+    target superoperator.  ``W`` is built once per scenario and returned
     read-only; a scenario is immutable and hashes by identity.
     """
     w = _FITNESS_TARGETS.get(scenario)
     if w is None:
-        r = _ancilla_trace_map(scenario.num_qubits, scenario.ancilla_sites)
-        z = 2 ** (2 * len(scenario.target_sites) + len(scenario.ancilla_sites))
-        w = r.T @ unitary_superoperator(scenario.target_unitary) @ r
-        w *= scenario.dim**2 / z
+        u, n_a = scenario.target_unitary, len(scenario.ancilla_sites)
+        sites = scenario.target_sites + scenario.ancilla_sites
+        units = np.eye(2**n_a)
+        w = sum(
+            unitary_superoperator(embed(kron(u, np.outer(i, j)), sites, scenario.num_qubits))
+            for i in units
+            for j in units
+        )
+        w *= scenario.dim**2 / 2 ** (2 * len(scenario.target_sites) + n_a)
         w.flags.writeable = False
         _FITNESS_TARGETS[scenario] = w
     return w

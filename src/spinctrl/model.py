@@ -1,8 +1,10 @@
 """Spin systems, noise models and the benchmark scenario catalog.
 
 Qubits occupy tensor slots left to right: slot 0 is the leftmost Kronecker
-factor.  Spin operators are full Pauli matrices and the chain coupling is
-J = 1, so amplitudes are in units of J and times in units of 1/J.
+factor.  :func:`embed` is the one place that maps operators to slots; every
+operator on the register, the targets included, is built with it.  Spin
+operators are full Pauli matrices and the chain coupling is J = 1, so
+amplitudes are in units of J and times in units of 1/J.
 """
 
 from __future__ import annotations
@@ -61,18 +63,25 @@ def pauli(axis):
     raise ValueError(f"unknown Pauli axis {axis!r}")
 
 
-def embed(op, site, n_qubits):
-    """Single-qubit operator acting on tensor slot ``site`` of ``n_qubits``."""
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (2, 2):
-        raise ValueError(f"embed expects a 2x2 operator, got {op.shape}")
-    site = _index(site, "site")
-    if not 0 <= site < n_qubits:
-        raise ValueError(f"site {site} out of range for {n_qubits} qubits")
-    out = np.eye(1, dtype=np.complex128)
-    for k in range(n_qubits):
-        out = kron(out, op if k == site else np.eye(2, dtype=np.complex128))
-    return out
+def embed(op, sites, n_qubits):
+    """``op`` placed on the slots ``sites`` of ``n_qubits``, identity elsewhere.
+
+    ``op`` is ``2^k x 2^k`` for ``k = len(sites)``; its j-th tensor factor
+    acts on slot ``sites[j]``.  The slots must be distinct and in range, in
+    any order.
+    """
+    if np.ndim(sites) != 1:
+        raise ValueError(f"sites must be a sequence of slots, got {sites!r}")
+    sites = tuple(_index(s, "sites") for s in sites)
+    if len(set(sites)) != len(sites) or not all(0 <= s < n_qubits for s in sites):
+        raise ValueError(f"sites {sites} must be distinct slots of {n_qubits} qubits")
+    k, d = len(sites), 2**n_qubits
+    if np.shape(op) != (2**k, 2**k):
+        raise ValueError(f"op is {np.shape(op)}, expected {(2**k, 2**k)} for sites {sites}")
+    # kron(op, I) holds its factors in slot order sites + rest; permute to 0..n-1
+    perm = list(np.argsort(sites + tuple(s for s in range(n_qubits) if s not in sites)))
+    t = kron(op, np.eye(d // 2**k)).reshape((2,) * (2 * n_qubits))
+    return t.transpose(perm + [n_qubits + p for p in perm]).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -143,10 +152,7 @@ def build_drift(system):
     h = np.zeros((d, d), dtype=np.complex128)
     for i, j, strength in system.couplings:
         for axis in "xyz":
-            h += strength * (
-                embed(pauli(axis), i, system.num_qubits)
-                @ embed(pauli(axis), j, system.num_qubits)
-            )
+            h += strength * embed(kron(pauli(axis), pauli(axis)), (i, j), system.num_qubits)
     return h
 
 
@@ -155,11 +161,9 @@ def build_controls(system, control_site):
 
     The control Hamiltonian at time t is ``hx(t) * first + hy(t) * second``.
     """
-    if not 0 <= control_site < system.num_qubits:
-        raise ValueError(f"control site {control_site} out of range")
     return (
-        embed(pauli("x"), control_site, system.num_qubits),
-        embed(pauli("y"), control_site, system.num_qubits),
+        embed(pauli("x"), (control_site,), system.num_qubits),
+        embed(pauli("y"), (control_site,), system.num_qubits),
     )
 
 
@@ -169,7 +173,7 @@ def build_collapse_ops(system, noise):
     if bad:
         raise ValueError(f"noise sites {bad} out of range for {system.num_qubits} qubits")
     op = noise.collapse_operator()
-    return [(embed(op, site, system.num_qubits), noise.gamma) for site in noise.sites]
+    return [(embed(op, (site,), system.num_qubits), noise.gamma) for site in noise.sites]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,20 +239,11 @@ class Scenario:
         return self.system.dim
 
     def full_target_unitary(self):
-        """Target extended to the whole register, identity on the ancilla.
-
-        Target-subsystem basis order follows the ascending ``target_sites``.
-        """
-        n = self.num_qubits
-        if not self.ancilla_sites:
-            return self.target_unitary
-        # permute (target_sites..., ancilla_sites...) order back to slot order
-        u = kron(self.target_unitary, np.eye(2 ** len(self.ancilla_sites)))
-        order = list(self.target_sites) + list(self.ancilla_sites)
-        perm = np.argsort(order)
-        t = u.reshape((2,) * (2 * n))
-        t = np.transpose(t, list(perm) + [n + p for p in perm])
-        return t.reshape(2**n, 2**n)
+        """Target extended by identity on the ancilla: ``target_unitary``
+        acts on the ascending ``target_sites``, in that order."""
+        eye = np.eye(2 ** len(self.ancilla_sites))
+        return embed(kron(self.target_unitary, eye), self.target_sites + self.ancilla_sites,
+                     self.num_qubits)
 
 
 def scenario_catalog():

@@ -127,7 +127,8 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     Terminates when the projected-gradient infinity norm drops to 1e-8, on
     a relative score change below 1e-12, when a line search fails, or after
     ``max_iters`` iterations; with ``max_iters=0`` it returns the clipped
-    start.  Returns ``(point, score, iterations)``.
+    start.  Returns ``(point, score, iterations)``.  Raises ``ValueError``
+    unless ``start`` is a finite 1-D array.
     """
     if obj.evaluate_with_gradient is None:
         raise ValueError("lbfgs_b_maximize requires an objective with gradients")
@@ -148,7 +149,10 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
             )
         return -float(score), -grad
 
-    x = bounds.clip(np.asarray(start, dtype=np.float64).copy())
+    x = np.asarray(start, dtype=np.float64)
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ValueError(f"start must be a finite 1-D array, got {x!r}")
+    x = bounds.clip(x)
     phi, gphi = eval_neg(x)
     pairs = deque(maxlen=10)  # the oldest pair drops out first
     width = bounds.upper - bounds.lower

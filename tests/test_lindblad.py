@@ -810,7 +810,7 @@ class TestSplitKronecker:
         # conj(L), and B, complex, so B enters the real chain through its
         # J-coupled entries
         scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
-        op = embed(pauli("x") + 1j * pauli("z"), 0, scenario.num_qubits)
+        op = embed(pauli("x") + 1j * pauli("z"), (0,), scenario.num_qubits)
         gen = build_generator(scenario.system, scenario.control_site, None)
         gen = dataclasses.replace(gen, collapse=((op, 0.2),))
         jump = 0.2 * kron(op, np.conj(op))
@@ -1094,6 +1094,11 @@ class TestSuperopFidelity:
         with pytest.raises(ValueError):
             superop_fidelity(np.eye(4), np.eye(16), 2)
 
+    @pytest.mark.parametrize("n_qubits", [-1, 0, 2.0, "2"])
+    def test_rejects_bad_n_qubits(self, n_qubits):
+        with pytest.raises(ValueError, match="n_qubits"):
+            superop_fidelity(np.eye(16), np.eye(16), n_qubits)
+
     def test_relabeling_invariance(self, rng):
         # simultaneous tensor-slot relabeling of both arguments
         u = random_unitary(rng, 4)
@@ -1157,6 +1162,8 @@ class TestStateFitness:
             tiny_scenario(SpinSystem.chain(2), 1, pauli("x"), (0,)),
             tiny_scenario(SpinSystem.chain(3), 0, kron(np.eye(2), pauli("x")), (0,)),
             tiny_scenario(SpinSystem.chain(2), 0, kron(pauli("y"), pauli("x")), ()),
+            # two ancilla slots around the target: the 16-term Kraus sum
+            tiny_scenario(SpinSystem.chain(3), 1, random_unitary(rng, 2), (0, 2)),
         ]
         for scenario in cases:
             gen = build_generator(

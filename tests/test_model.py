@@ -26,32 +26,62 @@ class TestPauli:
 
 class TestEmbed:
     def test_slot_zero(self):
-        got = model.embed(model.pauli("x"), 0, 2)
+        got = model.embed(model.pauli("x"), (0,), 2)
         assert np.array_equal(got, linalg.kron(model.pauli("x"), np.eye(2)))
 
     def test_slot_one(self):
-        got = model.embed(model.pauli("z"), 1, 2)
+        got = model.embed(model.pauli("z"), (1,), 2)
         assert np.array_equal(got, linalg.kron(np.eye(2), model.pauli("z")))
 
     def test_distinct_sites_commute(self):
-        a = model.embed(model.pauli("y"), 1, 3)
-        b = model.embed(model.pauli("x"), 0, 3)
+        a = model.embed(model.pauli("y"), (1,), 3)
+        b = model.embed(model.pauli("x"), (0,), 3)
         assert np.max(np.abs(a @ b - b @ a)) == 0.0
 
     def test_norm_preserved(self, rng):
         op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         target = np.linalg.svd(op, compute_uv=False)[0]
-        embedded = model.embed(op, 2, 3)
+        embedded = model.embed(op, (2,), 3)
         assert abs(np.linalg.svd(embedded, compute_uv=False)[0] - target) < 1e-12
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            model.embed(np.eye(2), 2, 2)
+        with pytest.raises(ValueError, match="sites"):
+            model.embed(np.eye(2), (2,), 2)
 
     def test_rejects_non_integer_site(self):
         # a site of 0.5 would match no slot and embed the identity
         with pytest.raises(ValueError, match="site"):
-            model.embed(model.pauli("x"), 0.5, 2)
+            model.embed(model.pauli("x"), (0.5,), 2)
+
+    def test_two_slots_unsorted_and_apart(self, rng):
+        # kron(a, b) on slots (2, 0) of 3: a acts on slot 2, b on slot 0
+        a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        op = linalg.kron(a, b)
+        # oracle, with xs the bit of slot s (slot 0 leftmost):
+        # <x0 x1 x2| E |y0 y1 y2> = op[(x2, x0), (y2, y0)] delta(x1, y1)
+        expected = np.zeros((8, 8), dtype=complex)
+        for x in range(8):
+            for y in range(8):
+                x0, x1, x2 = x >> 2, (x >> 1) & 1, x & 1
+                y0, y1, y2 = y >> 2, (y >> 1) & 1, y & 1
+                if x1 == y1:
+                    expected[x, y] = op[2 * x2 + x0, 2 * y2 + y0]
+        assert np.array_equal(model.embed(op, (2, 0), 3), expected)
+
+    @pytest.mark.parametrize(
+        "op, sites",
+        [
+            (np.eye(4), (1, 1)),
+            (np.eye(2), (-1,)),
+            (np.eye(2), 1),
+            (np.eye(2), (0, 1)),
+            (np.eye(4), (0,)),
+        ],
+        ids=["repeated", "negative", "bare-int", "op-too-small", "op-too-large"],
+    )
+    def test_rejects_bad_sites(self, op, sites):
+        with pytest.raises(ValueError, match="sites"):
+            model.embed(op, sites, 3)
 
 
 class TestSpinSystem:

@@ -135,6 +135,15 @@ class TestLbfgs:
         with pytest.raises(ValueError, match=message):
             lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), np.full(4, 0.5))
 
+    @pytest.mark.parametrize(
+        "start", [[np.nan, 0.5], [0.5, np.inf], np.full((2, 2), 0.5)], ids=["nan", "inf", "2-d"]
+    )
+    def test_rejects_bad_start(self, start):
+        # checked before the objective runs, so the objective is not blamed
+        objective = Objective(evaluate=sphere, evaluate_with_gradient=lambda x: 1 / 0)
+        with pytest.raises(ValueError, match="start must be a finite 1-D array"):
+            lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), start)
+
     def test_zero_max_iters_returns_clipped_start(self):
         calls = []
 
