@@ -381,29 +381,42 @@ def _unitary_close(target, u):
     return float(np.vdot(u, z1).real) / d**2, (dagger(z1) + z2) / d**2
 
 
-def _unitary_gradient(u, gens, target):
-    """Noiseless fidelity and gradient on the d x d interval unitaries.
-
-    ``u`` is the (M, d, d) stack of ``U_k``, and ``gens`` the step
-    generators ``dU_k U_k^dag`` along hx and hy: a (2, M, d, d) stack, or
-    (2, 1, d, d) when they do not depend on k.  The step ``U_k kron
-    conj(U_k)`` is never formed.  With ``fwd_k = U_{k-1} ... U_0`` and
-    ``total = fwd_M``, the chain is unitary, so the product after interval
-    k is ``U_{M-1} ... U_{k+1} = total fwd_{k+1}^dag`` and there is no
-    backward sweep.  The derivative along ``dU_k`` is the GRAPE conjugation
-    form ``Re Tr(P_k gens_k)`` with ``P_k = fwd_{k+1} G total
-    fwd_{k+1}^dag``, all M at once (Khaneja et al., J. Magn. Reson. 172,
-    296 (2005)).
-    """
+def _prefix_products(u):
+    """The (M, d, d) ``fwd_k = U_k ... U_0`` in about 2 sqrt(M) NumPy calls:
+    the running products inside blocks of about sqrt(M) (the last padded with
+    identities), batched over blocks, then one pass carrying each block on."""
     m, d = u.shape[0], u.shape[-1]
-    fwd = np.empty((m + 1, d, d), dtype=np.complex128)
-    fwd[0] = np.eye(d, dtype=np.complex128)
-    for k in range(m):
-        np.matmul(u[k], fwd[k], out=fwd[k + 1])
-    fidelity, g = _unitary_close(target, fwd[m])
-    p = fwd[1:] @ (g @ fwd[m]) @ dagger(fwd[1:])
-    # Re Tr(P gens) = Re sum(P^T * gens)
-    return fidelity, np.einsum("...ij,...ji->...", p, gens).real.reshape(-1)
+    size = max(1, math.isqrt(m))
+    blocks = np.empty((-(-m // size), size, d, d), dtype=np.complex128)
+    fwd = blocks.reshape(-1, d, d)
+    fwd[:m], fwd[m:] = u, np.eye(d)
+    for j in range(1, size):
+        np.matmul(blocks[:, j], blocks[:, j - 1], out=blocks[:, j])
+    for i in range(1, len(blocks)):  # one (size d, d) by (d, d) GEMM each
+        np.matmul(blocks[i].reshape(-1, d), blocks[i - 1, -1], out=blocks[i].reshape(-1, d))
+    return fwd[:m]
+
+
+def _unitary_gradient(u, target):
+    """Noiseless fidelity on the (M, d, d) interval unitaries ``U_k``, never
+    forming ``U_k kron conj(U_k)``, and the (M, d, d) P with ``Re Tr(P_k dU_k
+    U_k^dag)`` the derivative.  With ``fwd_k = U_k ... U_0`` and ``total =
+    fwd_{M-1}`` the chain is unitary, so the product after interval k is
+    ``total fwd_k^dag``, and ``P_k = fwd_k G total fwd_k^dag``, G from
+    :func:`_unitary_close`, is one (M d, d) by (d, d) GEMM and one batched
+    product (Khaneja et al., J. Magn. Reson. 172, 296 (2005))."""
+    m, d = u.shape[0], u.shape[-1]
+    fwd = _prefix_products(u)
+    total = fwd[-1] if m else np.eye(d, dtype=np.complex128)
+    fidelity, g = _unitary_close(target, total)
+    p = (fwd.reshape(-1, d) @ (g @ total)).reshape(fwd.shape)
+    return fidelity, p @ dagger(fwd)
+
+
+def _traces(p, ops):
+    """Op-major ``Re Tr(P_k op_c)`` from one (M, d^2) by (d^2, c) GEMM."""
+    ops = np.stack(ops).swapaxes(-1, -2).reshape(len(ops), -1)
+    return (p.reshape(-1, ops.shape[-1]) @ ops.T).real.T.reshape(-1)
 
 
 def _checked_target(gen, target):
@@ -442,15 +455,18 @@ def _hermitian_half(target):
 def split_gradient(gen, pulses, target):
     """Fidelity of the split propagator and its exact gradient.
 
-    Returns ``(f, grad)`` with ``grad[:M]`` the hx derivatives and
-    ``grad[M:]`` the hy derivatives.  The only approximation relative to
-    exact evolution is the splitting itself: the coherent factor ``U_k kron
-    conj(U_k)`` is differentiated exactly through one batched ``eigh`` of
-    the (M, d, d) stack of Hamiltonians, ``H_k = V_k diag(w_k) V_k^dag`` and
-    ``U_k = V_k exp(-i dt w_k) V_k^dag``, as the step generators ``G_k =
-    dU_k U_k^dag``.  Without collapse operators the split propagator is
-    exact, and the chain runs on the d x d unitaries ``U_k`` (GRAPE), so
-    the gradient is also the exact one.
+    Returns ``(f, grad)``, ``grad[:M]`` along hx and ``grad[M:]`` along hy.
+    Only the splitting is approximate: ``U_k kron conj(U_k)`` is
+    differentiated exactly through one batched ``eigh``, ``H_k = V_k
+    diag(w_k) V_k^dag``.  The chain gives P with ``Re Tr(P_k dU_k U_k^dag)``
+    the derivative; without collapse operators, where the split is exact,
+    from the d x d unitaries (GRAPE, :func:`_unitary_gradient`).  In the
+    eigenbasis ``dU_k U_k^dag = V_k ((V_k^dag H_c V_k) * phi_k) V_k^dag``,
+    so the derivative is ``Re Tr(H_c Z_k)``, ``Z_k = V_k (phi_k^T *
+    (V_k^dag P_k V_k)) V_k^dag``: one GEMM for both controls
+    (:func:`_traces`), and no ``dU_k U_k^dag`` is formed.  Z does not
+    depend on the eigenvectors ``eigh`` picks in a degenerate block of
+    ``w_k``, as phi is constant there.
 
     With collapse operators the chain is regrouped as in
     :func:`_fold_decay`, the leading A moves into the target as ``A^T th``,
@@ -464,11 +480,11 @@ def split_gradient(gen, pulses, target):
 
     The forward sweep stores each step before its B, ``x_k``; ``bt``, the
     real transpose of the score and the steps after interval k, runs back
-    through the transposed maps.  As ``dW_k = G_k W_k``, a step derivative
-    is ``Ket(G_k) x_k + Bra(G_k) x_k``.  Its halves are each other's images
-    under sigma, so on a column subset both are needed; each pairs ``bt``
-    with ``x_k``, over (e, column) or over (a, column), against the planes
-    of ``G_k``.
+    through the transposed maps.  As ``dW_k = G_k W_k`` with ``G_k = dU_k
+    U_k^dag``, a step derivative is ``Ket(G_k) x_k + Bra(G_k) x_k``.  Its
+    halves are each other's images under sigma, so on a column subset both
+    are needed; each pairs ``bt`` with ``x_k``, over (e, column) or over (a,
+    column), into real (2d, 2d) terms, the planes of the d x d ``P_k^T``.
     """
     target = _checked_target(gen, target)
     d, dt, m = gen.dim, pulses.dt, pulses.num_pulses
@@ -476,34 +492,36 @@ def split_gradient(gen, pulses, target):
     w, v = np.linalg.eigh(gen.drift + hx * gen.controls[0] + hy * gen.controls[1])
     vh = dagger(v)
     u = (v * np.exp(-1j * dt * w)[:, None, :]) @ vh
-    # G_k = V ((V^dag dH V) * phi) V^dag with phi[p, q] = -i dt (e^{2i delta}
-    # - 1) / (2i delta), delta = dt (w_q - w_p) / 2, as e^{i delta} sinc(delta)
-    delta = 0.5 * dt * (w[:, None, :] - w[:, :, None])
-    phi = -1j * dt * np.exp(1j * delta) * np.sinc(delta / np.pi)
-    gens = np.stack([v @ ((vh @ h @ v) * phi) @ vh for h in gen.controls])
     if _noiseless(gen) or not m:
-        return _unitary_gradient(u, gens, target)
-    e, b, b_t = _noise_factors(gen, dt)
-    w = _fold_decay(u, e)
-    kets, bras = _ket_planes(w), _bra_planes(w)
-    f, th = _hermitian_half(target)
-    th = _coherent(_ket_planes(e).T, _bra_planes(e).T, th)
-    x = np.empty((m, d, 2 * d, f.shape[-1]))
-    for k in range(m):
-        f = b @ _coherent(kets[k], bras[k], f, out=x[k])
-    fidelity = float(np.sum(th * f))
-    bt = b_t @ th
-    ket_terms, bra_terms = np.empty((2, m, 2 * d, 2 * d))
-    for k in range(m - 1, -1, -1):
-        np.matmul(bt.reshape(2 * d, -1), x[k].reshape(2 * d, -1).T, out=ket_terms[k])
-        by_a = np.matmul(bt.reshape(x[k].shape), x[k].transpose(0, 2, 1))
-        np.add.reduce(by_a, 0, out=bra_terms[k])
-        if k:
-            bt = b_t @ _coherent(kets[k].T, bras[k].T, bt)
-    del x  # 4.5 MiB on (d), freed before the planes of G_k are built
-    grad = np.einsum("ckij,kij->ck", _ket_planes(gens), ket_terms)
-    grad += np.einsum("ckij,kij->ck", _bra_planes(gens), bra_terms)
-    return fidelity, grad.reshape(-1)
+        fidelity, p = _unitary_gradient(u, target)
+    else:
+        e, b, b_t = _noise_factors(gen, dt)
+        folded = _fold_decay(u, e)
+        kets, bras = _ket_planes(folded), _bra_planes(folded)
+        f, th = _hermitian_half(target)
+        th = _coherent(_ket_planes(e).T, _bra_planes(e).T, th)
+        x = np.empty((m, d, 2 * d, f.shape[-1]))
+        for k in range(m):
+            f = b @ _coherent(kets[k], bras[k], f, out=x[k])
+        fidelity = float(np.sum(th * f))
+        bt = b_t @ th
+        ket_terms, bra_terms = np.empty((2, m, 2 * d, 2 * d))
+        for k in range(m - 1, -1, -1):
+            np.matmul(bt.reshape(2 * d, -1), x[k].reshape(2 * d, -1).T, out=ket_terms[k])
+            by_a = np.matmul(bt.reshape(x[k].shape), x[k].transpose(0, 2, 1))
+            np.add.reduce(by_a, 0, out=bra_terms[k])
+            if k:
+                bt = b_t @ _coherent(kets[k].T, bras[k].T, bt)
+        del x  # 4.5 MiB on (d), freed before P is built
+        # _ket_planes(G) is Re(G c[p, q]) on planes (p, q); _bra_planes(G) Re(G c[q, p])
+        c = np.array([[1, 1j], [-1j, 1]])
+        p = (np.einsum("kapbq,pq->kba", ket_terms.reshape(m, d, 2, d, 2), c)
+             + np.einsum("kpaqb,qp->kba", bra_terms.reshape(m, 2, d, 2, d), c))
+    # phi[p, q] = -i dt (e^{2i delta} - 1) / (2i delta), delta = dt (w_q -
+    # w_p) / 2, as e^{i delta} sinc(delta); its transpose phi_t swaps p, q
+    delta = 0.5 * dt * (w[:, :, None] - w[:, None, :])
+    phi_t = -1j * dt * np.exp(1j * delta) * np.sinc(delta / np.pi)
+    return fidelity, _traces(v @ (phi_t * (vh @ p @ v)) @ vh, gen.controls)
 
 
 def machnes_gradient(gen, pulses, target):
@@ -513,11 +531,11 @@ def machnes_gradient(gen, pulses, target):
     valid for ``dt`` well below the inverse generator norm.  That is a
     property of the run's discretisation, so nothing is checked or warned
     here: call :func:`dt_validity_check` once per run.  Without collapse
-    operators the exact step is ``U_k kron conj(U_k)``, the unitaries come
-    from :func:`_interval_unitaries`, and the gradient runs on them with the
-    step generator ``dU_k U_k^dag = -i dt dH/dh``, the same for every k
-    (Machnes et al., PRA 84, 022305 (2011)), and no backward sweep
-    (:func:`_unitary_gradient`).
+    operators the unitaries come from :func:`_interval_unitaries`, and the
+    step generator ``dU_k U_k^dag = -i dt H_c`` is the same for every k
+    (Machnes et al., PRA 84, 022305 (2011)), so the gradient is one (M,
+    d^2) by (d^2, 2) GEMM (:func:`_traces`) on the P of
+    :func:`_unitary_gradient`.
 
     With collapse operators the step ``X_k = S R_k S^dag`` is taken, for
     every d, as the real ``R_k`` of :func:`_real_steps`, and its derivative
@@ -532,8 +550,8 @@ def machnes_gradient(gen, pulses, target):
     target = _checked_target(gen, target)
     dt, m = pulses.dt, pulses.num_pulses
     if _noiseless(gen) or not m:
-        u = _interval_unitaries(gen, pulses)
-        return _unitary_gradient(u, -1j * dt * np.stack(gen.controls)[:, None], target)
+        fidelity, p = _unitary_gradient(_interval_unitaries(gen, pulses), target)
+        return fidelity, _traces(p, [-1j * dt * h for h in gen.controls])
 
     s, (_, r_x, r_y) = gen.basis, gen.real_parts
     steps, fwd = np.empty((m,) + s.shape), np.empty((m + 1,) + s.shape)

@@ -210,6 +210,8 @@ def mutate(genome, p, rng, bounds):
     bounds.  Consumes exactly two rng draws per gene (one keep decision,
     one replacement value), so the stream advance is input-independent.
     """
+    if not 0 <= p <= 1:
+        raise ValueError(f"keep probability must be in [0, 1], got {p}")
     genome = np.asarray(genome, dtype=np.float64)
     keep = rng.random(genome.size) < p
     replacement = bounds.uniform(rng, genome.size)

@@ -844,18 +844,28 @@ class TestSplitKronecker:
             (f, grad), want = gradient(zero, pulses, target), gradient(gen, pulses, target)
             assert f == want[0] and np.array_equal(grad, want[1])
 
-    @pytest.mark.parametrize("scenario_id", list("abcdef"))
-    def test_noiseless_gradients_match_dense_chains(self, scenario_id, rng):
+    @pytest.mark.parametrize("scenario_id, num_pulses", [
+        pytest.param(s, m, id=s if m == 8 else f"{s}-{m}")
+        for m in (8, 1, 9, 17)
+        for s in "abcdef"
+    ])
+    def test_noiseless_gradients_match_dense_chains(self, scenario_id, num_pulses, rng):
         # the random target does not map Hermitian matrices to Hermitian
-        # ones, so the gradient needs both halves of the closing contraction
+        # ones, so the gradient needs both halves of the closing contraction;
+        # M = 17 leaves the prefix scan's last block of isqrt(M) = 4 partial.
+        # At M = 1 the only interval is the last: with the control on the
+        # ancilla (c, e), its first-order derivative is traced out of the
+        # state fitness, which then has a zero machnes gradient and a split
+        # gradient of about 1e-6, all second order: a relative check there
+        # reads only rounding, so that target is left out
         scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
-        gen, pulses = catalog_generator_and_pulses(scenario, rng, num_pulses=8)
+        gen, pulses = catalog_generator_and_pulses(scenario, rng, num_pulses)
         d2 = scenario.dim**2
-        targets = np.stack([
-            target_superoperator(scenario),
-            fitness_target(scenario),
-            random_complex(rng, (d2, d2)),
-        ])
+        targets = [target_superoperator(scenario), fitness_target(scenario),
+                   random_complex(rng, (d2, d2))]
+        if num_pulses == 1 and scenario.control_site in scenario.ancilla_sites:
+            del targets[1]
+        targets = np.stack(targets)
         oracles = [
             (split_gradient, dense_split_chain(gen, pulses, targets)[1:]),
             (machnes_gradient, dense_first_order_chain(gen, pulses, targets)),
@@ -866,6 +876,40 @@ class TestSplitKronecker:
                 assert abs(got_f - fs[i]) < 1e-12
                 grad = grads[:, i]
                 assert np.max(np.abs(got_grad - grad)) < 1e-12 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("m", [0, 1, 10, 11, 12, 25, 128])
+    def test_prefix_products_match_sequential_loop(self, m, rng):
+        # blocks of isqrt(M): the last one holds 1 of 3 at M = 10, 2 of 3 at
+        # M = 11 and 7 of 11 at M = 128; M = 12 and 25 fill every block
+        u = np.array([random_unitary(rng, 4) for _ in range(m)]).reshape(m, 4, 4)
+        got = lindblad._prefix_products(u)
+        want, running = np.empty_like(u), np.eye(4, dtype=complex)
+        for k in range(m):
+            running = want[k] = u[k] @ running
+        assert got.shape == (m, 4, 4)
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-13
+
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping"])
+    @pytest.mark.parametrize("scenario_id", ["a", "d"])
+    def test_split_gradient_on_degenerate_spectrum(self, scenario_id, kind, rng):
+        # with every pulse at 0, H_k is the Heisenberg drift, whose spectrum
+        # has repeated levels (a triplet on 2 qubits): eigh's V is not unique
+        # there, and the eigenbasis contraction is right only because phi is
+        # constant on each degenerate block
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        noise = NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits) if kind else None
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        w = np.linalg.eigvalsh(gen.drift)
+        assert np.sum(np.abs(np.diff(w)) < 1e-12) >= 2
+        pulses = PulseSequence(np.zeros(6), np.zeros(6), scenario.total_time / scenario.num_pulses)
+        # the catalog targets' gradients vanish at zero pulses
+        d2 = gen.dim**2
+        for target in (unitary_superoperator(random_unitary(rng, gen.dim)),
+                       random_complex(rng, (d2, d2))):
+            _, want_f, want_grad = dense_split_chain(gen, pulses, target)
+            got_f, got_grad = split_gradient(gen, pulses, target)
+            assert abs(got_f - want_f) < 1e-12
+            assert np.max(np.abs(got_grad - want_grad)) < 1e-12 * np.max(np.abs(want_grad))
 
     def test_noiseless_gradients_skip_dense_kernels(self, rng, monkeypatch):
         # the only exponentials are the d x d unitaries of noiseless

@@ -201,6 +201,12 @@ class TestGa:
         assert score == max(scores) == history[-1]
         assert any(np.array_equal(genome, x) for x, f in zip(calls, scores) if f == score)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+    def test_mutate_rejects_keep_probability_outside_unit_interval(self, p):
+        # nan would replace every gene and 1.5 keep every gene
+        with pytest.raises(ValueError, match="keep probability"):
+            mutate(np.zeros(4), p, np.random.default_rng(0), Bounds(-1.0, 1.0))
+
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_mutate_consumes_two_draws_per_gene(self, p):
         bounds = Bounds(-2.0, 2.0)
