@@ -8,7 +8,8 @@ generators, but the package passes it only the d x d ``-iH``, for the
 interval unitaries ``exp(-i dt H_k)`` of the split propagator and the
 noiseless first-order gradient.  ``piecewise_total`` serves exact
 propagation only for d^2 <= 16.  Every other dense step is a real
-``scipy.linalg.expm`` in the Hermitian basis (``lindblad._real_steps``).
+``scipy.linalg.expm`` per symmetry sector in the Hermitian basis
+(``lindblad._real_steps``).
 
 ``python setup.py build_ext --inplace`` compiles the committed
 ``_cykernels.c`` in place, with a C compiler and the Python headers but

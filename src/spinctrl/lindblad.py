@@ -110,7 +110,16 @@ class Generator:
     exponentiates.  A Lindblad generator with Hermitian H maps Hermitian
     matrices to Hermitian ones (Lindblad, Commun. Math. Phys. 48, 119
     (1976)), so it is real in this basis (Havel, J. Math. Phys. 44, 534
-    (2003)).
+    (2003)).  ``noiseless`` says whether ``jump_part`` and ``decay`` are 0.
+
+    ``reflection`` is the bit-reversal permutation pi of the basis states
+    (site i to n - 1 - i) if its matrix Pi commutes with the drift, both
+    controls and ``decay`` and ``Pi kron Pi`` with ``jump_part``, to 1e-12
+    relative; else the identity.  ``S^dag (Pi kron Pi) S`` is a signed
+    permutation, and ``sectors`` holds, flat, ``S V`` and the three ``V^T R
+    V`` of ``real_parts`` for the real bases V of its +1 and -1 eigenspaces
+    (Buca & Prosen, New J. Phys. 14, 073007 (2012)), of 40 and 24 columns on
+    scenario (d); without a reflection it is ``(basis, *real_parts)``.
     """
 
     drift: np.ndarray
@@ -123,6 +132,9 @@ class Generator:
     decay: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
     real_parts: tuple = field(init=False, repr=False)
+    noiseless: bool = field(init=False, repr=False)
+    reflection: np.ndarray = field(init=False, repr=False)
+    sectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         h0 = np.asarray(self.drift, dtype=np.complex128)
@@ -152,15 +164,38 @@ class Generator:
         s[ce, sym] = s[ec, sym] = half
         s[ce, sym + rows.size], s[ec, sym + rows.size] = 1j * half, -1j * half
         parts = tuple(np.ascontiguousarray((dagger(s) @ x @ s).real) for x in (base, *comms))
-        for a in (h0, *controls, *(op for op, _ in collapse), base, *comms, jump, k, s, *parts):
+        flip, sectors = _reflection(d, (h0, *controls, k), jump), (s, *parts)
+        if np.any(flip != np.arange(d)):
+            pair = (flip[:, None] * d + flip).reshape(-1)  # Pi kron Pi on the index (c, e)
+            q, sectors = np.rint((dagger(s) @ s[pair]).real), ()  # a signed permutation
+            for x in (np.eye(d * d) + q, np.eye(d * d) - q):
+                # column j is e_j +- Q e_j: keep one per pair {j, Q j}, normalised
+                vs = x[:, (np.abs(x).argmax(0) == np.arange(d * d)) & x.any(0)]
+                vs /= np.linalg.norm(vs, axis=0)
+                sectors += (s @ vs, *(np.ascontiguousarray(vs.T @ r @ vs) for r in parts))
+        for a in (h0, *controls, *(op for op, _ in collapse), base, *comms, jump, k, s, *parts,
+                  flip, *sectors):
             a.flags.writeable = False
         self.__dict__.update(drift=h0, controls=controls, collapse=collapse, dim=d, base=base,
                              control_comms=comms, jump_part=jump, decay=k, basis=s,
-                             real_parts=parts)
+                             real_parts=parts, noiseless=not (np.any(k) or np.any(jump)),
+                             reflection=flip, sectors=sectors)
 
     def at(self, hx, hy):
         """Full generator F(hx, hy)."""
         return self.base + hx * self.control_comms[0] + hy * self.control_comms[1]
+
+
+def _reflection(d, ops, jump):
+    """The bit-reversal permutation pi of ``range(d)``, d = 2^n, if Pi
+    commutes with each d x d op and ``Pi kron Pi`` with jump; else the
+    identity."""
+    n, idx = d.bit_length() - 1, np.arange(d)
+    flip = sum((((idx >> b) & 1) << (n - 1 - b) for b in range(n)), 0 * idx)
+    pair = (flip[:, None] * d + flip).reshape(-1)
+    fixed = [np.abs(x[p][:, p] - x).max() <= 1e-12 * np.abs(x).max()
+             for x, p in ((jump, pair), *((x, flip) for x in ops))]
+    return flip if d == 1 << n and all(fixed) else idx
 
 
 def _checked(a, name, d):
@@ -212,11 +247,12 @@ def total_propagator_exact(gen, pulses):
     """Exact propagator of the whole sequence; interval 0 acts first.
 
     For d <= 4 this is one ``_kernels.piecewise_total`` call.  For d >= 8
-    the steps of :func:`_real_steps` are multiplied onto a running real
-    product, and the result is ``S total S^dag`` with S the generator's
-    ``basis``.  With one BLAS thread on a 2-core Xeon, on scenario (d) with
-    128 intervals, that takes 27 ms against 70 ms for the compiled kernel
-    (best of 15).  At d^2 = 16 it is no faster (0.94 against 0.75 ms on
+    each of :func:`_sectors` multiplies its steps from :func:`_real_steps`
+    onto a running real product, and the result is the sum of ``Q total
+    Q^dag``.  With one BLAS thread on a 2-core Xeon, on scenario (d) with
+    128 intervals, its sectors' 40 x 40 and 24 x 24 chains take 19 ms, one
+    64 x 64 chain 31 ms and the compiled kernel 70 ms (best of 15-20).  At
+    d^2 = 16 the real chain is no faster (0.94 against 0.75 ms on
     (a)), and SciPy's loop holds the interpreter lock that the compiled one
     releases, so the GA's worker threads would no longer overlap.  An empty
     sequence gives exactly the identity.
@@ -229,17 +265,25 @@ def total_propagator_exact(gen, pulses):
     d2 = gen.dim * gen.dim
     if not pulses.num_pulses:
         return np.eye(d2, dtype=np.complex128)
-    total = np.eye(d2)
-    for step in _real_steps(gen, pulses):
-        total = step @ total
-    return gen.basis @ total @ dagger(gen.basis)
+    channel = 0
+    for q, *parts in _sectors(gen):
+        total = np.eye(q.shape[1])
+        for step in _real_steps(parts, pulses):
+            total = step @ total
+        channel = channel + q @ total @ dagger(q)
+    return channel
 
 
-def _real_steps(gen, pulses):
+def _sectors(gen):
+    """The ``(Q, R_base, R_x, R_y)`` of each of the generator's ``sectors``."""
+    return zip(*[iter(gen.sectors)] * 4)
+
+
+def _real_steps(parts, pulses):
     """Yield the real step ``expm(dt (R_base + hx R_x + hy R_y))`` of each
-    interval, interval 0 first, from the generator's ``real_parts``: the
-    step is ``S^dag expm(dt F(hx, hy)) S`` in its ``basis`` S."""
-    (r_base, r_x, r_y), dt = gen.real_parts, pulses.dt
+    interval, interval 0 first, from one sector's ``(R_base, R_x, R_y)``:
+    the step is ``Q^dag expm(dt F(hx, hy)) Q`` for its ``Q = S V``."""
+    (r_base, r_x, r_y), dt = parts, pulses.dt
     for hx, hy in zip(pulses.hx, pulses.hy):
         yield scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y))
 
@@ -278,11 +322,6 @@ def _noise_factors(gen, dt):
             a.flags.writeable = False
         factors = by_dt[dt] = (e, b, b_t)
     return factors
-
-
-def _noiseless(gen):
-    """Whether the generator has no collapse operators."""
-    return not (np.any(gen.decay) or np.any(gen.jump_part))
 
 
 def _interval_unitaries(gen, pulses):
@@ -369,14 +408,14 @@ def _unitary_close(target, u):
     The derivative is ``Re Tr(Z1^dag dU) + Re Tr(Z2 dU)``: Z1 is the target
     contracted with U in the conj(U) slot, Z2 with conj(U) in the U slot.
     Both terms are kept, so G is exact for any target, not only one that
-    maps Hermitian matrices to Hermitian matrices.  Contractions are
-    O(d^4).
+    maps Hermitian matrices to Hermitian matrices.  With the target's
+    indices regrouped as ``((a, c), (b, e))``, each is one matrix-vector
+    product, O(d^4).
     """
     d = u.shape[-1]
-    t4 = target.reshape(d, d, d, d)
-    u_bar = np.conj(u)
-    z1 = np.einsum("abce,be->ac", t4, u)
-    z2 = np.einsum("abce,ac->eb", t4, u_bar)
+    t = target.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    z1 = (t @ u.reshape(-1)).reshape(d, d)
+    z2 = (np.conj(u).reshape(-1) @ t).reshape(d, d).T
     # Tr(T^dag (U kron conj(U))) is conj(Tr(U^dag Z1)): no (d^2, d^2) kron
     return float(np.vdot(u, z1).real) / d**2, (dagger(z1) + z2) / d**2
 
@@ -430,25 +469,30 @@ def _checked_target(gen, target):
     return target
 
 
-def _hermitian_half(target):
-    """Kept input columns and target of a noisy chain on half its columns.
+def _hermitian_half(gen, target):
+    """Kept input columns and target of a noisy chain, one column per orbit.
 
-    Noisy steps and step derivatives map Hermitian matrices to Hermitian
-    ones: they commute with ``sigma(X) = P conj(X) P``, P the swap of the
-    tensor factors.  Against ``T_h = (T + sigma(T)) / 2``, which leaves
-    ``Re Tr(T^dag Y)`` unchanged for such Y, column (e, c) of the overlap
-    is the conjugate of column (c, e), so only the d(d+1)/2 input columns
-    (c, e), c <= e, are kept (Schulte-Herbrueggen et al., J. Phys. B 44,
-    154013 (2011)).  Returns the kept identity columns and ``th``, ``T_h /
-    d^2`` on the kept columns weighted 1 on the diagonal and 2 off it, as
-    real (2 d^2, d(d+1)/2) :func:`_planes`: the fidelity is ``sum(th * Y)``.
+    Noisy steps and step derivatives commute with ``sigma(X) = P conj(X)
+    P``, P the swap of the tensor factors (they map Hermitian matrices to
+    Hermitian ones), and with ``Pi kron Pi`` of the generator's
+    ``reflection`` pi.  Against ``T_g``, the target averaged over the group
+    of 1, sigma, ``Pi kron Pi`` and their product, which leaves ``Re
+    Tr(T^dag Y)`` unchanged for such Y, the overlap's columns (c, e), (e,
+    c), (pi c, pi e) and (pi e, pi c) are equal or conjugate, so only the
+    smallest of each orbit is kept: (c, e), c <= e, without a reflection,
+    24 of 64 on scenario (d) (Schulte-Herbrueggen et al., J. Phys. B 44,
+    154013 (2011); Albert & Jiang, PRA 89, 022118 (2014)).  Returns the kept
+    identity columns and ``th``, ``T_g / d^2`` on them weighted by orbit
+    size, as real (2 d^2, n) :func:`_planes`: the fidelity is ``sum(th * Y)``.
     """
-    d2, d = target.shape[-1], math.isqrt(target.shape[-1])
-    rows, cols = np.triu_indices(d)
-    kept = rows * d + cols
-    # T + conj(P T P) is 2 T_h
-    t_swap = target.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2)
-    th = (target + np.conj(t_swap))[:, kept] * (np.where(rows == cols, 0.5, 1.0) / d2)
+    d2, d, flip = target.shape[-1], gen.dim, gen.reflection
+    index = np.arange(d2).reshape(d, d)
+    pair = index[flip][:, flip]
+    kept, size = np.unique(np.minimum.reduce([index, index.T, pair, pair.T]), return_counts=True)
+    # T + (Pi kron Pi) T (Pi kron Pi), plus its image under sigma, is 4 T_g
+    t = target + target[pair.reshape(-1)][:, pair.reshape(-1)]
+    t_swap = t.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d2, d2)
+    th = (t + np.conj(t_swap))[:, kept] * (size / 4 / d2)
     return _planes(np.eye(d2)[:, kept]), _planes(th)
 
 
@@ -470,9 +514,10 @@ def split_gradient(gen, pulses, target):
 
     With collapse operators the chain is regrouped as in
     :func:`_fold_decay`, the leading A moves into the target as ``A^T th``,
-    and both sweeps run on the columns of :func:`_hermitian_half` as real
-    (2 d^2, n) planes with rows (a, p, e): the ket index a, the plane p =
-    re/im and the bra index e.  So W_k on the ket index is one real (2d,
+    and both sweeps run on the n columns of :func:`_hermitian_half`, one per
+    orbit of the generator's symmetries (24 on (d)), as real (2 d^2, n)
+    planes with rows (a, p, e): the ket index a, the plane p = re/im and
+    the bra index e.  So W_k on the ket index is one real (2d,
     2d) GEMM, conj(W_k) on the bra index one real product batched over a
     (:func:`_coherent`), and B one real sparse product.  With one BLAS
     thread on a 2-core Xeon, an 8 x 8 by 8 x 288 complex GEMM takes 6.6-7.4
@@ -492,13 +537,13 @@ def split_gradient(gen, pulses, target):
     w, v = np.linalg.eigh(gen.drift + hx * gen.controls[0] + hy * gen.controls[1])
     vh = dagger(v)
     u = (v * np.exp(-1j * dt * w)[:, None, :]) @ vh
-    if _noiseless(gen) or not m:
+    if gen.noiseless or not m:
         fidelity, p = _unitary_gradient(u, target)
     else:
         e, b, b_t = _noise_factors(gen, dt)
         folded = _fold_decay(u, e)
         kets, bras = _ket_planes(folded), _bra_planes(folded)
-        f, th = _hermitian_half(target)
+        f, th = _hermitian_half(gen, target)
         th = _coherent(_ket_planes(e).T, _bra_planes(e).T, th)
         x = np.empty((m, d, 2 * d, f.shape[-1]))
         for k in range(m):
@@ -512,7 +557,7 @@ def split_gradient(gen, pulses, target):
             np.add.reduce(by_a, 0, out=bra_terms[k])
             if k:
                 bt = b_t @ _coherent(kets[k].T, bras[k].T, bt)
-        del x  # 4.5 MiB on (d), freed before P is built
+        del x  # 3 MiB on (d), freed before P is built
         # _ket_planes(G) is Re(G c[p, q]) on planes (p, q); _bra_planes(G) Re(G c[q, p])
         c = np.array([[1, 1j], [-1j, 1]])
         p = (np.einsum("kapbq,pq->kba", ket_terms.reshape(m, d, 2, d, 2), c)
@@ -539,36 +584,37 @@ def machnes_gradient(gen, pulses, target):
 
     With collapse operators the step ``X_k = S R_k S^dag`` is taken, for
     every d, as the real ``R_k`` of :func:`_real_steps`, and its derivative
-    as ``dt R_c R_k``, ``R_c`` the generator's real part along c.  The chain
-    runs on all d^2 columns of the generator's ``basis`` S and scores
-    against ``Re(S^dag T S) / d^2``, exact for any complex target as the
-    chain is real.  The steps and the forward products ``fwd_k = R_{k-1}
-    ... R_0`` are stored; ``bt``, the transposed product of that score and
-    the later steps, runs back through them.
+    as ``dt R_c R_k``, ``R_c`` the generator's real part along c.  Each of
+    the generator's sectors (:func:`_sectors`) runs its own chain on its
+    columns ``Q = S V`` and scores against ``Re(Q^dag T Q) / d^2``, exact
+    for any complex target as the chain is real; the fidelity and gradient
+    are the sums over sectors.  The steps and the forward products ``fwd_k
+    = R_{k-1} ... R_0`` are stored; ``bt``, the transposed product of that
+    score and the later steps, runs back through them.
     Returns ``(f, grad)``: ``grad[:M]`` along hx, ``grad[M:]`` along hy.
     """
     target = _checked_target(gen, target)
     dt, m = pulses.dt, pulses.num_pulses
-    if _noiseless(gen) or not m:
+    if gen.noiseless or not m:
         fidelity, p = _unitary_gradient(_interval_unitaries(gen, pulses), target)
         return fidelity, _traces(p, [-1j * dt * h for h in gen.controls])
 
-    s, (_, r_x, r_y) = gen.basis, gen.real_parts
-    steps, fwd = np.empty((m,) + s.shape), np.empty((m + 1,) + s.shape)
-    fwd[0] = np.eye(len(s))
-    for k, step in enumerate(_real_steps(gen, pulses)):
-        steps[k] = step
-        np.matmul(steps[k], fwd[k], out=fwd[k + 1])
-    bt = (dagger(s) @ target @ s).real / len(s)
-    fidelity = float(np.sum(bt * fwd[m]))
-
-    grad = np.empty(2 * m, dtype=np.float64)
-    for k in range(m - 1, -1, -1):
-        # sum(bt * dt R_c R_k fwd_k) = dt sum(R_c^T * (fwd_{k+1} bt^T))
-        y = fwd[k + 1] @ bt.T
-        grad[k], grad[m + k] = (dt * np.sum(rc.T * y) for rc in (r_x, r_y))
-        if k:
-            bt = steps[k].T @ bt
+    fidelity, grad = 0.0, np.zeros(2 * m)
+    for q, *parts in _sectors(gen):
+        n, (_, r_x, r_y) = q.shape[1], parts
+        steps, fwd = np.empty((m, n, n)), np.empty((m + 1, n, n))
+        fwd[0] = np.eye(n)
+        for k, step in enumerate(_real_steps(parts, pulses)):
+            steps[k] = step
+            np.matmul(steps[k], fwd[k], out=fwd[k + 1])
+        bt = (dagger(q) @ target @ q).real / len(q)
+        fidelity += float(np.sum(bt * fwd[m]))
+        for k in range(m - 1, -1, -1):
+            # sum(bt * dt R_c R_k fwd_k) = dt sum(R_c^T * (fwd_{k+1} bt^T))
+            y = fwd[k + 1] @ bt.T
+            grad[[k, m + k]] += [dt * np.sum(rc.T * y) for rc in (r_x, r_y)]
+            if k:
+                bt = steps[k].T @ bt
     return fidelity, grad
 
 

@@ -398,7 +398,8 @@ WRONG_SHAPES = [
     ("drift", None), ("controls", 0), ("controls", 1), ("control_comms", 0), ("control_comms", 1),
     ("collapse", 0),
 ]
-DERIVED_FIELDS = ["dim", "base", "control_comms", "jump_part", "decay", "basis", "real_parts"]
+DERIVED_FIELDS = ["dim", "base", "control_comms", "jump_part", "decay", "basis", "real_parts",
+                  "noiseless", "reflection", "sectors"]
 
 
 def phase_damped_pair():
@@ -490,7 +491,10 @@ class TestGeneratorInvariants:
             fresh = build_generator(scenario.system, scenario.control_site, noise)
             swapped = dataclasses.replace(gen, collapse=fresh.collapse)
             for name in ["drift", "controls", *DERIVED_FIELDS]:
-                assert np.array_equal(getattr(swapped, name), getattr(fresh, name))
+                # the sectors of (d) are arrays of several shapes
+                got, want = getattr(swapped, name), getattr(fresh, name)
+                pairs = zip(got, want, strict=True) if isinstance(want, tuple) else [(got, want)]
+                assert all(np.array_equal(a, b) for a, b in pairs)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stored_real_parts(self, n):
@@ -1044,11 +1048,12 @@ class TestSplitKronecker:
     @pytest.mark.parametrize("gradient, mib", [(split_gradient, 8), (machnes_gradient, 10)])
     def test_gradient_memory(self, gradient, mib, rng):
         # scenario (d), M = 128: split_gradient keeps its real-plane steps
-        # before B on the 36 kept input columns, one (M, 2 d^2, 36) array,
-        # 4.5 MiB, and no complex forward stack or transposed copies of the
-        # (2d, 2d) plane blocks.  machnes_gradient holds its real (M, d^2,
-        # d^2) steps, 4 MiB, and its real (M + 1, d^2, d^2) forward
-        # products, 4.1 MiB
+        # before B on the 24 kept input columns, one per orbit of the
+        # Hermitian swap and the reflection, one (M, 2 d^2, 24) array, 3 MiB,
+        # and no complex forward stack or transposed copies of the (2d, 2d)
+        # plane blocks.  machnes_gradient holds, per sector, its real (M, n,
+        # n) steps and (M + 1, n, n) forward products: 3.3 MiB for n = 40,
+        # then 1.2 MiB for n = 24
         scenario = scenario_catalog()[3]
         gen = build_generator(
             scenario.system,
@@ -1413,3 +1418,114 @@ class TestGradients:
         )
         assert objective.evaluate(start) < 0.5
         assert score > 0.95
+
+
+def reflection_generator(scenario_id, kind, sites=None):
+    """The catalog scenario and its generator with ``kind`` at rate 0.1 on
+    ``sites``, every site when None."""
+    scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+    sites = range(scenario.num_qubits) if sites is None else sites
+    noise = NoiseSpec(kind, 0.1, tuple(sites))
+    return scenario, build_generator(scenario.system, scenario.control_site, noise)
+
+
+def without_reflection(monkeypatch, gen):
+    """The generator of the same model with its reflection dropped: one
+    sector holding all of ``real_parts``, and d(d+1)/2 split columns."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_reflection", lambda d, ops, jump: np.arange(d))
+        full = Generator(gen.drift, gen.controls, gen.collapse)
+    assert len(full.sectors) == 4
+    return full
+
+
+class TestReflectionSectors:
+    """Scenario (d)'s chain reflection, which swaps qubits 0 and 2, is kept
+    only when it commutes with the whole generator.  Then the noisy split
+    gradient runs one input column per orbit and the dense real chains run
+    per sector, checked against the same model without the reflection."""
+
+    KINDS = ["amplitude_damping", "phase_damping"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kept_on_d_with_noise_on_every_site(self, kind):
+        _, gen = reflection_generator("d", kind)
+        assert np.array_equal(gen.reflection, [0, 4, 2, 6, 1, 5, 3, 7])
+        bases = gen.sectors[::4]
+        assert [q.shape for q in bases] == [(64, 40), (64, 24)]
+        q = np.hstack(bases)
+        assert np.max(np.abs(dagger(q) @ q - np.eye(64))) < 1e-14
+        # the sector blocks rebuild the base and both control commutators
+        for i, x in enumerate((gen.base, *gen.control_comms)):
+            blocks = gen.sectors[i + 1::4]
+            rebuilt = sum(q @ r @ dagger(q) for q, r in zip(bases, blocks, strict=True))
+            assert np.max(np.abs(rebuilt - x)) < 1e-13 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scenario_id, sites", [
+        ("d", (0,)), ("a", None), ("b", None), ("c", None), ("e", None), ("f", None)
+    ])
+    def test_dropped_without_the_symmetry(self, scenario_id, sites, kind):
+        _, gen = reflection_generator(scenario_id, kind, sites)
+        assert np.array_equal(gen.reflection, np.arange(gen.dim))
+        assert len(gen.sectors) == 4
+        assert all(a is b for a, b in zip(gen.sectors, (gen.basis, *gen.real_parts)))
+
+    @pytest.mark.parametrize("scenario_id, kept", [("d", 24), ("f", 36), ("a", 10)])
+    def test_orbit_weights(self, scenario_id, kept):
+        # against the identity superoperator, which the group leaves as it
+        # is, each kept column scores its orbit's size / d^2
+        _, gen = reflection_generator(scenario_id, "amplitude_damping")
+        d2 = gen.dim**2
+        f, th = lindblad._hermitian_half(gen, np.eye(d2))
+        assert f.shape == th.shape == (2 * d2, kept)
+        sizes = np.sum(th * f, axis=0) * d2
+        assert set(sizes) <= {1.0, 2.0, 4.0}
+        assert sizes.sum() == d2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_split_gradient_matches_hermitian_columns(self, kind, monkeypatch, rng):
+        scenario, gen = reflection_generator("d", kind)
+        full = without_reflection(monkeypatch, gen)
+        pulses = random_pulses(
+            rng, 32, scenario.total_time / scenario.num_pulses, scenario.h_max
+        )
+        d2 = gen.dim**2
+        for target in (target_superoperator(scenario), fitness_target(scenario),
+                       random_complex(rng, (d2, d2))):
+            (f, grad), (want_f, want_grad) = (
+                split_gradient(g, pulses, target) for g in (gen, full)
+            )
+            assert abs(f - want_f) < 1e-13
+            assert np.max(np.abs(grad - want_grad)) < 1e-13 * np.max(np.abs(want_grad))
+
+    def test_split_gradient_matches_central_differences(self, rng):
+        # a random complex target is not unchanged by the reflection, so the
+        # gradient is right only with the target averaged over the group
+        scenario, gen = reflection_generator("d", "amplitude_damping")
+        dt = scenario.total_time / scenario.num_pulses
+        target = random_complex(rng, (gen.dim**2,) * 2)
+        x = rng.uniform(-20, 20, 2 * 8)
+        fidelity = lambda y: superop_fidelity(
+            split_propagator(gen, PulseSequence.from_genome(y, dt)), target, 3
+        )
+        f, grad = split_gradient(gen, PulseSequence.from_genome(x, dt), target)
+        assert f == pytest.approx(fidelity(x), abs=1e-14)
+        assert relative_error(grad, central_differences(fidelity, x)) < 1e-6
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sector_chains_match_single_sector(self, kind, monkeypatch, rng):
+        scenario, gen = reflection_generator("d", kind)
+        full = without_reflection(monkeypatch, gen)
+        pulses = random_pulses(
+            rng, 32, scenario.total_time / scenario.num_pulses, scenario.h_max
+        )
+        want = total_propagator_exact(full, pulses)
+        assert np.max(np.abs(total_propagator_exact(gen, pulses) - want)) < 1e-13
+        d2 = gen.dim**2
+        for target in (target_superoperator(scenario), random_complex(rng, (d2, d2))):
+            (f, grad), (want_f, want_grad) = (
+                machnes_gradient(g, pulses, target) for g in (gen, full)
+            )
+            assert abs(f - want_f) < 1e-13
+            assert np.max(np.abs(grad - want_grad)) < 1e-13 * np.max(np.abs(want_grad))
