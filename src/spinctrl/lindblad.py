@@ -75,15 +75,12 @@ class PulseSequence:
 
     @classmethod
     def from_genome(cls, genome, dt):
-        """Split a flat parameter vector (hx's then hy's) into a sequence."""
-        genome = np.asarray(genome, dtype=np.float64).reshape(-1)
-        if genome.size % 2:
-            raise ValueError("genome length must be even (hx block then hy block)")
+        """Split a 1-D parameter vector (hx's then hy's) into a sequence."""
+        genome = np.asarray(genome, dtype=np.float64)
+        if genome.ndim != 1 or genome.size % 2:
+            raise ValueError(f"genome must be 1-D of even length (hx's, hy's), got {genome.shape}")
         m = genome.size // 2
         return cls(genome[:m], genome[m:], dt)
-
-    def genome(self):
-        return np.concatenate([self.hx, self.hy])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,23 +100,25 @@ class Generator:
     split method takes the dissipator in two parts: ``jump_part``, the
     ``(d^2, d^2)`` ``sum gamma L kron conj(L)`` (see :func:`_noise_factors`),
     and ``decay``, the d x d ``K = -1/2 sum gamma L^dag L`` of ``K kron I +
-    I kron conj(K)``.  ``basis`` is the unitary ``(d^2, d^2)`` S with
-    columns ``vec E_cc`` and, for c < e, ``(E_ce + E_ec) / sqrt 2`` and ``i
-    (E_ce - E_ec) / sqrt 2``, and ``real_parts`` the real ``S^dag X S`` of
-    ``base`` and both ``control_comms``, which :func:`_real_steps`
-    exponentiates.  A Lindblad generator with Hermitian H maps Hermitian
-    matrices to Hermitian ones (Lindblad, Commun. Math. Phys. 48, 119
-    (1976)), so it is real in this basis (Havel, J. Math. Phys. 44, 534
-    (2003)).  ``noiseless`` says whether ``jump_part`` and ``decay`` are 0.
+    I kron conj(K)``.  ``noiseless`` says whether ``jump_part`` and
+    ``decay`` are 0.
 
     ``reflection`` is the bit-reversal permutation pi of the basis states
     (site i to n - 1 - i) if its matrix Pi commutes with the drift, both
     controls and ``decay`` and ``Pi kron Pi`` with ``jump_part``, to 1e-12
-    relative; else the identity.  ``S^dag (Pi kron Pi) S`` is a signed
-    permutation, and ``sectors`` holds, flat, ``S V`` and the three ``V^T R
-    V`` of ``real_parts`` for the real bases V of its +1 and -1 eigenspaces
-    (Buca & Prosen, New J. Phys. 14, 073007 (2012)), of 40 and 24 columns on
-    scenario (d); without a reflection it is ``(basis, *real_parts)``.
+    relative; else the identity.  ``sectors`` is the generator's real form,
+    which :func:`_real_steps` exponentiates.  Let S be the unitary ``(d^2,
+    d^2)`` basis with columns ``vec E_cc`` and, for c < e, ``(E_ce + E_ec) /
+    sqrt 2`` and ``i (E_ce - E_ec) / sqrt 2``.  A Lindblad generator with
+    Hermitian H maps Hermitian matrices to Hermitian ones (Lindblad, Commun.
+    Math. Phys. 48, 119 (1976)), so ``S^dag X S`` is real for ``base`` and
+    both ``control_comms`` (Havel, J. Math. Phys. 44, 534 (2003)).  ``S^dag
+    (Pi kron Pi) S`` is a signed permutation, and each sector is a tuple
+    ``(Q, R_base, R_x, R_y)`` of ``Q = S V`` and the three real ``V^T S^dag
+    X S V``, for V the real basis of its +1 or -1 eigenspace (Buca & Prosen,
+    New J. Phys. 14, 073007 (2012)).  On scenario (d) the sectors have 40
+    and 24 columns.  Without a reflection the permutation is I, the -1
+    eigenspace is empty, and the one sector has ``Q = S``.
     """
 
     drift: np.ndarray
@@ -130,8 +129,6 @@ class Generator:
     control_comms: tuple = field(init=False, repr=False)
     jump_part: np.ndarray = field(init=False, repr=False)
     decay: np.ndarray = field(init=False, repr=False)
-    basis: np.ndarray = field(init=False, repr=False)
-    real_parts: tuple = field(init=False, repr=False)
     noiseless: bool = field(init=False, repr=False)
     reflection: np.ndarray = field(init=False, repr=False)
     sectors: tuple = field(init=False, repr=False)
@@ -164,22 +161,22 @@ class Generator:
         s[ce, sym] = s[ec, sym] = half
         s[ce, sym + rows.size], s[ec, sym + rows.size] = 1j * half, -1j * half
         parts = tuple(np.ascontiguousarray((dagger(s) @ x @ s).real) for x in (base, *comms))
-        flip, sectors = _reflection(d, (h0, *controls, k), jump), (s, *parts)
-        if np.any(flip != np.arange(d)):
-            pair = (flip[:, None] * d + flip).reshape(-1)  # Pi kron Pi on the index (c, e)
-            q, sectors = np.rint((dagger(s) @ s[pair]).real), ()  # a signed permutation
-            for x in (np.eye(d * d) + q, np.eye(d * d) - q):
-                # column j is e_j +- Q e_j: keep one per pair {j, Q j}, normalised
-                vs = x[:, (np.abs(x).argmax(0) == np.arange(d * d)) & x.any(0)]
-                vs /= np.linalg.norm(vs, axis=0)
-                sectors += (s @ vs, *(np.ascontiguousarray(vs.T @ r @ vs) for r in parts))
-        for a in (h0, *controls, *(op for op, _ in collapse), base, *comms, jump, k, s, *parts,
-                  flip, *sectors):
+        flip = _reflection(d, (h0, *controls, k), jump)
+        pair = (flip[:, None] * d + flip).reshape(-1)  # Pi kron Pi on the index (c, e)
+        q, sectors = np.rint((dagger(s) @ s[pair]).real), ()  # a signed permutation
+        for x in (np.eye(d * d) + q, np.eye(d * d) - q):
+            # column j is e_j +- Q e_j: keep one per pair {j, Q j}, normalised
+            vs = x[:, (np.abs(x).argmax(0) == np.arange(d * d)) & x.any(0)]
+            vs /= np.linalg.norm(vs, axis=0)
+            if vs.size:  # I - Q is 0 without a reflection
+                sectors += ((s @ vs, *(np.ascontiguousarray(vs.T @ r @ vs) for r in parts)),)
+        for a in (h0, *controls, *(op for op, _ in collapse), base, *comms, jump, k, flip,
+                  *sum(sectors, ())):
             a.flags.writeable = False
         self.__dict__.update(drift=h0, controls=controls, collapse=collapse, dim=d, base=base,
-                             control_comms=comms, jump_part=jump, decay=k, basis=s,
-                             real_parts=parts, noiseless=not (np.any(k) or np.any(jump)),
-                             reflection=flip, sectors=sectors)
+                             control_comms=comms, jump_part=jump, decay=k,
+                             noiseless=not (np.any(k) or np.any(jump)), reflection=flip,
+                             sectors=sectors)
 
     def at(self, hx, hy):
         """Full generator F(hx, hy)."""
@@ -247,13 +244,13 @@ def total_propagator_exact(gen, pulses):
     """Exact propagator of the whole sequence; interval 0 acts first.
 
     For d <= 4 this is one ``_kernels.piecewise_total`` call.  For d >= 8
-    each of :func:`_sectors` multiplies its steps from :func:`_real_steps`
-    onto a running real product, and the result is the sum of ``Q total
-    Q^dag``.  With one BLAS thread on a 2-core Xeon, on scenario (d) with
-    128 intervals, its sectors' 40 x 40 and 24 x 24 chains take 19 ms, one
-    64 x 64 chain 31 ms and the compiled kernel 70 ms (best of 15-20).  At
-    d^2 = 16 the real chain is no faster (0.94 against 0.75 ms on
-    (a)), and SciPy's loop holds the interpreter lock that the compiled one
+    each ``(Q, R_base, R_x, R_y)`` of the generator's ``sectors`` multiplies
+    its steps from :func:`_real_steps` onto a running real product, and the
+    result is the sum of ``Q total Q^dag``.  With one BLAS thread on a
+    2-core Xeon, on scenario (d) with 128 intervals, its sectors' 40 x 40
+    and 24 x 24 chains take 19 ms, one 64 x 64 chain 31 ms and the compiled
+    kernel 70 ms (best of 15-20).  At d^2 = 16 the real chain is no faster
+    (0.94 against 0.75 ms on (a)), and SciPy's loop holds the interpreter lock that the compiled one
     releases, so the GA's worker threads would no longer overlap.  An empty
     sequence gives exactly the identity.
     """
@@ -266,7 +263,7 @@ def total_propagator_exact(gen, pulses):
     if not pulses.num_pulses:
         return np.eye(d2, dtype=np.complex128)
     channel = 0
-    for q, *parts in _sectors(gen):
+    for q, *parts in gen.sectors:
         total = np.eye(q.shape[1])
         for step in _real_steps(parts, pulses):
             total = step @ total
@@ -274,15 +271,11 @@ def total_propagator_exact(gen, pulses):
     return channel
 
 
-def _sectors(gen):
-    """The ``(Q, R_base, R_x, R_y)`` of each of the generator's ``sectors``."""
-    return zip(*[iter(gen.sectors)] * 4)
-
-
 def _real_steps(parts, pulses):
     """Yield the real step ``expm(dt (R_base + hx R_x + hy R_y))`` of each
-    interval, interval 0 first, from one sector's ``(R_base, R_x, R_y)``:
-    the step is ``Q^dag expm(dt F(hx, hy)) Q`` for its ``Q = S V``."""
+    interval, interval 0 first, from the ``(R_base, R_x, R_y)`` of one of
+    ``Generator.sectors``: the step is ``Q^dag expm(dt F(hx, hy)) Q`` for
+    that sector's Q."""
     (r_base, r_x, r_y), dt = parts, pulses.dt
     for hx, hy in zip(pulses.hx, pulses.hy):
         yield scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y))
@@ -582,12 +575,11 @@ def machnes_gradient(gen, pulses, target):
     d^2) by (d^2, 2) GEMM (:func:`_traces`) on the P of
     :func:`_unitary_gradient`.
 
-    With collapse operators the step ``X_k = S R_k S^dag`` is taken, for
-    every d, as the real ``R_k`` of :func:`_real_steps`, and its derivative
-    as ``dt R_c R_k``, ``R_c`` the generator's real part along c.  Each of
-    the generator's sectors (:func:`_sectors`) runs its own chain on its
-    columns ``Q = S V`` and scores against ``Re(Q^dag T Q) / d^2``, exact
-    for any complex target as the chain is real; the fidelity and gradient
+    With collapse operators, for every d, each ``(Q, R_base, R_x, R_y)`` of
+    the generator's ``sectors`` runs its own real chain: the step ``Q^dag
+    X_k Q`` is the ``R_k`` of :func:`_real_steps`, its derivative ``dt R_c
+    R_k``, and the chain scores against ``Re(Q^dag T Q) / d^2``, exact for
+    any complex target as the chain is real; the fidelity and gradient
     are the sums over sectors.  The steps and the forward products ``fwd_k
     = R_{k-1} ... R_0`` are stored; ``bt``, the transposed product of that
     score and the later steps, runs back through them.
@@ -600,7 +592,7 @@ def machnes_gradient(gen, pulses, target):
         return fidelity, _traces(p, [-1j * dt * h for h in gen.controls])
 
     fidelity, grad = 0.0, np.zeros(2 * m)
-    for q, *parts in _sectors(gen):
+    for q, *parts in gen.sectors:
         n, (_, r_x, r_y) = q.shape[1], parts
         steps, fwd = np.empty((m, n, n)), np.empty((m + 1, n, n))
         fwd[0] = np.eye(n)

@@ -72,7 +72,7 @@ def embed(op, sites, n_qubits):
     """
     if np.ndim(sites) != 1:
         raise ValueError(f"sites must be a sequence of slots, got {sites!r}")
-    sites = tuple(_index(s, "sites") for s in sites)
+    sites, n_qubits = tuple(_index(s, "sites") for s in sites), _index(n_qubits, "n_qubits")
     if len(set(sites)) != len(sites) or not all(0 <= s < n_qubits for s in sites):
         raise ValueError(f"sites {sites} must be distinct slots of {n_qubits} qubits")
     k, d = len(sites), 2**n_qubits

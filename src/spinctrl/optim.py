@@ -205,15 +205,14 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     return x, -phi, iters
 
 
-def mutate(genome, p, rng, bounds):
-    """Keep each gene with probability ``p``, else redraw uniformly in the
-    bounds.  Consumes exactly two rng draws per gene (one keep decision,
-    one replacement value), so the stream advance is input-independent.
+def mutate(genome, rng, bounds):
+    """Keep each gene with probability ``KEEP_PROBABILITY``, else redraw
+    uniformly in the bounds.  Consumes exactly two rng draws per gene (one
+    keep decision, one replacement value), so the stream advance is
+    input-independent.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"keep probability must be in [0, 1], got {p}")
     genome = np.asarray(genome, dtype=np.float64)
-    keep = rng.random(genome.size) < p
+    keep = rng.random(genome.size) < KEEP_PROBABILITY
     replacement = bounds.uniform(rng, genome.size)
     return np.where(keep, genome, replacement)
 
@@ -314,8 +313,8 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
             while len(offspring) < size:
                 mom, dad = select(scored, rng), select(scored, rng)
                 sister, brother = crossover_two_point(mom, dad, rng)
-                offspring.append(mutate(sister, KEEP_PROBABILITY, rng, bounds))
-                offspring.append(mutate(brother, KEEP_PROBABILITY, rng, bounds))
+                offspring.append(mutate(sister, rng, bounds))
+                offspring.append(mutate(brother, rng, bounds))
             population, fits = np.array(offspring), fits[order[:ELITES]]
 
     if history[-1] == -np.inf:

@@ -128,8 +128,16 @@ class TestPulseSequence:
 
     def test_genome_roundtrip(self, rng):
         p = random_pulses(rng, 5, 0.1)
-        q = PulseSequence.from_genome(p.genome(), p.dt)
+        q = PulseSequence.from_genome(np.concatenate([p.hx, p.hy]), p.dt)
         assert np.array_equal(q.hx, p.hx) and np.array_equal(q.hy, p.hy)
+
+    @pytest.mark.parametrize("genome", [
+        [[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]],  # (hx, hy) rows, not hx's then hy's
+        np.zeros((2, 2, 2)),
+    ])
+    def test_from_genome_rejects_genome_not_1d(self, genome):
+        with pytest.raises(ValueError, match="genome must be 1-D"):
+            PulseSequence.from_genome(genome, 0.1)
 
     def test_empty_sequence_allowed(self):
         p = PulseSequence(np.empty(0), np.empty(0), 0.1)
@@ -398,8 +406,12 @@ WRONG_SHAPES = [
     ("drift", None), ("controls", 0), ("controls", 1), ("control_comms", 0), ("control_comms", 1),
     ("collapse", 0),
 ]
-DERIVED_FIELDS = ["dim", "base", "control_comms", "jump_part", "decay", "basis", "real_parts",
-                  "noiseless", "reflection", "sectors"]
+DERIVED_FIELDS = [f.name for f in dataclasses.fields(Generator) if not f.init]
+
+
+def flat(value):
+    """The arrays of a field: itself, or those of a (nested) tuple."""
+    return [a for v in value for a in flat(v)] if isinstance(value, tuple) else [value]
 
 
 def phase_damped_pair():
@@ -464,8 +476,7 @@ class TestGeneratorInvariants:
             Generator(gen.drift, gen.controls, gen.collapse, **{name: getattr(gen, name)})
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(gen, name, getattr(gen, name))
-        value = getattr(gen, name)
-        for a in value if isinstance(value, tuple) else (value,):
+        for a in flat(getattr(gen, name)):
             assert isinstance(a, int) or not a.flags.writeable
 
     def test_inputs_are_frozen_in_place(self):
@@ -492,31 +503,28 @@ class TestGeneratorInvariants:
             swapped = dataclasses.replace(gen, collapse=fresh.collapse)
             for name in ["drift", "controls", *DERIVED_FIELDS]:
                 # the sectors of (d) are arrays of several shapes
-                got, want = getattr(swapped, name), getattr(fresh, name)
-                pairs = zip(got, want, strict=True) if isinstance(want, tuple) else [(got, want)]
-                assert all(np.array_equal(a, b) for a, b in pairs)
+                got, want = flat(getattr(swapped, name)), flat(getattr(fresh, name))
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_stored_real_parts(self, n):
-        def noisy(kind):
-            noise = NoiseSpec.on_all_sites(kind, 0.1, n)
-            return build_generator(SpinSystem.chain(n), 0, noise)
-
-        gen, other = noisy("amplitude_damping"), noisy("phase_damping")
-        s = gen.basis
-        assert not s.flags.writeable
-        assert np.max(np.abs(dagger(s) @ s - np.eye(gen.dim**2))) < 1e-14
-        for r, x in zip(gen.real_parts, (gen.base, *gen.control_comms), strict=True):
-            assert r.dtype == np.float64 and r.flags.c_contiguous and not r.flags.writeable
-            full = dagger(s) @ x @ s
-            assert np.array_equal(r, full.real)
-            assert np.linalg.norm(full.imag) < 1e-12 * np.linalg.norm(full)
-        # the parts follow swapped noise, and only the base's part changes
-        swapped = dataclasses.replace(gen, collapse=other.collapse)
-        assert np.array_equal(swapped.real_parts[0], other.real_parts[0])
-        assert not np.array_equal(swapped.real_parts[0], gen.real_parts[0])
-        for a, b in zip(swapped.real_parts[1:], gen.real_parts[1:]):
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda s: s.id)
+    def test_sectors_are_the_real_form(self, scenario, kind):
+        noise = kind and NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        q = np.hstack([sector[0] for sector in gen.sectors])
+        assert np.max(np.abs(dagger(q) @ q - np.eye(gen.dim**2))) < 1e-14
+        for q, *blocks in gen.sectors:
+            assert not q.flags.writeable
+            for r in blocks:
+                assert r.dtype == np.float64 and r.flags.c_contiguous and not r.flags.writeable
+        # the sector blocks rebuild the base and both control commutators
+        for i, x in enumerate((gen.base, *gen.control_comms), 1):
+            rebuilt = sum(sector[0] @ sector[i] @ dagger(sector[0]) for sector in gen.sectors)
+            assert np.max(np.abs(rebuilt - x)) < 1e-13 * np.max(np.abs(x))
+        if np.array_equal(gen.reflection, np.arange(gen.dim)):
+            [(q, *blocks)] = gen.sectors
+            for r, x in zip(blocks, (gen.base, *gen.control_comms), strict=True):
+                assert np.array_equal(r, (dagger(q) @ x @ q).real)
 
     @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     def test_trace_preservation_of_generator(self, kind, rng):
@@ -1431,11 +1439,11 @@ def reflection_generator(scenario_id, kind, sites=None):
 
 def without_reflection(monkeypatch, gen):
     """The generator of the same model with its reflection dropped: one
-    sector holding all of ``real_parts``, and d(d+1)/2 split columns."""
+    sector of all d^2 columns, and d(d+1)/2 split columns."""
     with monkeypatch.context() as patch:
         patch.setattr(lindblad, "_reflection", lambda d, ops, jump: np.arange(d))
         full = Generator(gen.drift, gen.controls, gen.collapse)
-    assert len(full.sectors) == 4
+    assert len(full.sectors) == 1
     return full
 
 
@@ -1451,15 +1459,7 @@ class TestReflectionSectors:
     def test_kept_on_d_with_noise_on_every_site(self, kind):
         _, gen = reflection_generator("d", kind)
         assert np.array_equal(gen.reflection, [0, 4, 2, 6, 1, 5, 3, 7])
-        bases = gen.sectors[::4]
-        assert [q.shape for q in bases] == [(64, 40), (64, 24)]
-        q = np.hstack(bases)
-        assert np.max(np.abs(dagger(q) @ q - np.eye(64))) < 1e-14
-        # the sector blocks rebuild the base and both control commutators
-        for i, x in enumerate((gen.base, *gen.control_comms)):
-            blocks = gen.sectors[i + 1::4]
-            rebuilt = sum(q @ r @ dagger(q) for q, r in zip(bases, blocks, strict=True))
-            assert np.max(np.abs(rebuilt - x)) < 1e-13 * np.max(np.abs(x))
+        assert [q.shape for q, *_ in gen.sectors] == [(64, 40), (64, 24)]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("scenario_id, sites", [
@@ -1468,8 +1468,7 @@ class TestReflectionSectors:
     def test_dropped_without_the_symmetry(self, scenario_id, sites, kind):
         _, gen = reflection_generator(scenario_id, kind, sites)
         assert np.array_equal(gen.reflection, np.arange(gen.dim))
-        assert len(gen.sectors) == 4
-        assert all(a is b for a, b in zip(gen.sectors, (gen.basis, *gen.real_parts)))
+        assert len(gen.sectors) == 1
 
     @pytest.mark.parametrize("scenario_id, kept", [("d", 24), ("f", 36), ("a", 10)])
     def test_orbit_weights(self, scenario_id, kept):

@@ -53,6 +53,10 @@ class TestEmbed:
         with pytest.raises(ValueError, match="site"):
             model.embed(model.pauli("x"), (0.5,), 2)
 
+    def test_rejects_non_integer_qubit_count(self):
+        with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.0"):
+            model.embed(model.pauli("x"), (0,), 2.0)
+
     def test_two_slots_unsorted_and_apart(self, rng):
         # kron(a, b) on slots (2, 0) of 3: a acts on slot 2, b on slot 0
         a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))

@@ -201,18 +201,14 @@ class TestGa:
         assert score == max(scores) == history[-1]
         assert any(np.array_equal(genome, x) for x, f in zip(calls, scores) if f == score)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
-    def test_mutate_rejects_keep_probability_outside_unit_interval(self, p):
-        # nan would replace every gene and 1.5 keep every gene
-        with pytest.raises(ValueError, match="keep probability"):
-            mutate(np.zeros(4), p, np.random.default_rng(0), Bounds(-1.0, 1.0))
-
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_mutate_consumes_two_draws_per_gene(self, p):
+    def test_mutate_consumes_two_draws_per_gene(self, p, monkeypatch):
+        # mutate reads the keep probability from KEEP_PROBABILITY
+        monkeypatch.setattr(optim, "KEEP_PROBABILITY", p)
         bounds = Bounds(-2.0, 2.0)
         genome = np.linspace(-1.0, 1.0, 9)
         rng = np.random.default_rng(3)
-        child = mutate(genome, p, rng, bounds)
+        child = mutate(genome, rng, bounds)
         expected = np.random.default_rng(3)
         expected.random(genome.size)
         bounds.uniform(expected, genome.size)
