@@ -6,10 +6,10 @@ are ``scipy.linalg.expm``; the compiled core is the package's only
 hand-written numerical kernel.  ``piecewise_steps`` takes any square
 generators, but the package passes it only the d x d ``-iH``, for the
 interval unitaries ``exp(-i dt H_k)`` of the split propagator and the
-noiseless first-order gradient.  ``piecewise_total`` serves exact
-propagation only for d^2 <= 16.  Every other dense step is a real
-``scipy.linalg.expm`` per symmetry sector in the Hermitian basis
-(``lindblad._real_steps``).
+noiseless first-order gradient.  ``piecewise_total`` propagates each
+symmetry sector of at most 16 columns of the generator's real form in the
+Hermitian basis (``lindblad.Generator.sectors``); every larger sector's
+step is a real ``scipy.linalg.expm`` (``lindblad._real_steps``).
 
 ``python setup.py build_ext --inplace`` compiles the committed
 ``_cykernels.c`` in place, with a C compiler and the Python headers but

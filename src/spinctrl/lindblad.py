@@ -48,7 +48,7 @@ class PulseSequence:
     """Piecewise-constant control amplitudes: M intervals of length dt.
 
     Empty sequences are allowed and act as the identity propagator.  The
-    amplitudes and dt must be finite.
+    amplitudes must be real and finite, and dt finite and > 0.
     """
 
     hx: np.ndarray
@@ -56,17 +56,18 @@ class PulseSequence:
     dt: float
 
     def __post_init__(self):
-        hx = np.atleast_1d(np.asarray(self.hx, dtype=np.float64))
-        hy = np.atleast_1d(np.asarray(self.hy, dtype=np.float64))
-        if hx.ndim != 1 or hy.ndim != 1 or hx.shape != hy.shape:
-            raise ValueError("hx and hy must be 1-D arrays of equal length")
-        for name, h in (("hx", hx), ("hy", hy)):
+        for name in ("hx", "hy"):
+            h = getattr(self, name)
+            if np.iscomplexobj(h):
+                raise ValueError(f"{name} must be real, got a complex array")
+            h = np.atleast_1d(np.asarray(h, dtype=np.float64))
             if not np.isfinite(h).all():
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, h)
+        if self.hx.ndim != 1 or self.hy.ndim != 1 or self.hx.shape != self.hy.shape:
+            raise ValueError("hx and hy must be 1-D arrays of equal length")
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and > 0")
-        object.__setattr__(self, "hx", hx)
-        object.__setattr__(self, "hy", hy)
         object.__setattr__(self, "dt", float(self.dt))
 
     @property
@@ -76,7 +77,7 @@ class PulseSequence:
     @classmethod
     def from_genome(cls, genome, dt):
         """Split a 1-D parameter vector (hx's then hy's) into a sequence."""
-        genome = np.asarray(genome, dtype=np.float64)
+        genome = np.asarray(genome)
         if genome.ndim != 1 or genome.size % 2:
             raise ValueError(f"genome must be 1-D of even length (hx's, hy's), got {genome.shape}")
         m = genome.size // 2
@@ -94,39 +95,36 @@ class Generator:
     Arrays and rates must be finite, rates >= 0 and Hamiltonians Hermitian,
     else ``ValueError``.  The arrays are made read-only in place, not copied.
 
-    Every other field is derived and read-only.  ``base`` is the ``(d^2,
-    d^2)`` control-independent generator ``K(H0)`` plus the dissipator, and
-    ``control_comms`` the commutators ``K(H)`` of the two controls.  The
-    split method takes the dissipator in two parts: ``jump_part``, the
-    ``(d^2, d^2)`` ``sum gamma L kron conj(L)`` (see :func:`_noise_factors`),
-    and ``decay``, the d x d ``K = -1/2 sum gamma L^dag L`` of ``K kron I +
-    I kron conj(K)``.  ``noiseless`` says whether ``jump_part`` and
-    ``decay`` are 0.
+    Every other field is derived and read-only.  The split method takes the
+    dissipator in two parts: ``jump_part``, the ``(d^2, d^2)`` ``sum gamma L
+    kron conj(L)`` (see :func:`_noise_factors`), and ``decay``, the d x d ``K
+    = -1/2 sum gamma L^dag L`` of ``K kron I + I kron conj(K)``.
+    ``noiseless`` says whether ``jump_part`` and ``decay`` are 0.
 
     ``reflection`` is the bit-reversal permutation pi of the basis states
     (site i to n - 1 - i) if its matrix Pi commutes with the drift, both
     controls and ``decay`` and ``Pi kron Pi`` with ``jump_part``, to 1e-12
-    relative; else the identity.  ``sectors`` is the generator's real form,
-    which :func:`_real_steps` exponentiates.  Let S be the unitary ``(d^2,
-    d^2)`` basis with columns ``vec E_cc`` and, for c < e, ``(E_ce + E_ec) /
-    sqrt 2`` and ``i (E_ce - E_ec) / sqrt 2``.  A Lindblad generator with
-    Hermitian H maps Hermitian matrices to Hermitian ones (Lindblad, Commun.
-    Math. Phys. 48, 119 (1976)), so ``S^dag X S`` is real for ``base`` and
-    both ``control_comms`` (Havel, J. Math. Phys. 44, 534 (2003)).  ``S^dag
-    (Pi kron Pi) S`` is a signed permutation, and each sector is a tuple
-    ``(Q, R_base, R_x, R_y)`` of ``Q = S V`` and the three real ``V^T S^dag
-    X S V``, for V the real basis of its +1 or -1 eigenspace (Buca & Prosen,
-    New J. Phys. 14, 073007 (2012)).  On scenario (d) the sectors have 40
-    and 24 columns.  Without a reflection the permutation is I, the -1
-    eigenspace is empty, and the one sector has ``Q = S``.
+    relative; else the identity.  ``sectors`` is the one dense form of the
+    generator ``F(hx, hy) = F_0 + hx K(H_x) + hy K(H_y)``, ``F_0`` being
+    ``K(H0)`` plus the dissipator.  Let S be the unitary ``(d^2, d^2)``
+    basis with columns ``vec E_cc`` and, for c < e, ``(E_ce + E_ec) / sqrt
+    2`` and ``i (E_ce - E_ec) / sqrt 2``.  F maps Hermitian matrices to
+    Hermitian ones (Lindblad, Commun. Math. Phys. 48, 119 (1976)), so ``S^dag
+    X S`` is real for X each of its three terms (Havel, J. Math. Phys. 44,
+    534 (2003)).  ``S^dag (Pi kron Pi) S`` is a signed permutation, and each
+    sector is a tuple ``(Q, R_base, R_x, R_y)`` of ``Q = S V`` and the three
+    real ``V^T S^dag X S V``, for V the real basis of its +1 or -1
+    eigenspace (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  On scenario
+    (d) the sectors have 40 and 24 columns.  Without a reflection the -1
+    eigenspace is empty, and the one sector has ``Q = S``.  Exact
+    propagation runs a sector of at most 16 columns through the compiled
+    ``_kernels.piecewise_total``, a larger one through :func:`_real_steps`.
     """
 
     drift: np.ndarray
     controls: tuple
     collapse: tuple = ()
     dim: int = field(init=False)
-    base: np.ndarray = field(init=False, repr=False)
-    control_comms: tuple = field(init=False, repr=False)
     jump_part: np.ndarray = field(init=False, repr=False)
     decay: np.ndarray = field(init=False, repr=False)
     noiseless: bool = field(init=False, repr=False)
@@ -170,17 +168,11 @@ class Generator:
             vs /= np.linalg.norm(vs, axis=0)
             if vs.size:  # I - Q is 0 without a reflection
                 sectors += ((s @ vs, *(np.ascontiguousarray(vs.T @ r @ vs) for r in parts)),)
-        for a in (h0, *controls, *(op for op, _ in collapse), base, *comms, jump, k, flip,
-                  *sum(sectors, ())):
+        for a in (h0, *controls, *(op for op, _ in collapse), jump, k, flip, *sum(sectors, ())):
             a.flags.writeable = False
-        self.__dict__.update(drift=h0, controls=controls, collapse=collapse, dim=d, base=base,
-                             control_comms=comms, jump_part=jump, decay=k,
-                             noiseless=not (np.any(k) or np.any(jump)), reflection=flip,
-                             sectors=sectors)
-
-    def at(self, hx, hy):
-        """Full generator F(hx, hy)."""
-        return self.base + hx * self.control_comms[0] + hy * self.control_comms[1]
+        self.__dict__.update(drift=h0, controls=controls, collapse=collapse, dim=d, jump_part=jump,
+                             decay=k, noiseless=not (np.any(k) or np.any(jump)),
+                             reflection=flip, sectors=sectors)
 
 
 def _reflection(d, ops, jump):
@@ -243,30 +235,29 @@ def target_superoperator(scenario):
 def total_propagator_exact(gen, pulses):
     """Exact propagator of the whole sequence; interval 0 acts first.
 
-    For d <= 4 this is one ``_kernels.piecewise_total`` call.  For d >= 8
-    each ``(Q, R_base, R_x, R_y)`` of the generator's ``sectors`` multiplies
-    its steps from :func:`_real_steps` onto a running real product, and the
-    result is the sum of ``Q total Q^dag``.  With one BLAS thread on a
-    2-core Xeon, on scenario (d) with 128 intervals, its sectors' 40 x 40
-    and 24 x 24 chains take 19 ms, one 64 x 64 chain 31 ms and the compiled
-    kernel 70 ms (best of 15-20).  At d^2 = 16 the real chain is no faster
-    (0.94 against 0.75 ms on (a)), and SciPy's loop holds the interpreter lock that the compiled one
+    Each ``(Q, R_base, R_x, R_y)`` of the generator's ``sectors`` multiplies
+    its real steps onto a running product, and the result is the sum of ``Q
+    total Q^dag``.  A sector of at most 16 columns runs one compiled
+    ``_kernels.piecewise_total`` call, a larger one the SciPy loop of
+    :func:`_real_steps`.  With one BLAS thread on a 2-core Xeon, on scenario
+    (d) with 128 intervals, its sectors' 40 x 40 and 24 x 24 chains take 19
+    ms, one 64 x 64 chain 31 ms and the compiled kernel 70 ms (best of
+    15-20).  At 16 columns the SciPy loop is no faster (0.94 against 0.75 ms
+    on (a)), and it holds the interpreter lock that the compiled one
     releases, so the GA's worker threads would no longer overlap.  An empty
     sequence gives exactly the identity.
     """
-    if gen.dim <= 4:
-        return _kernels.piecewise_total(
-            gen.base, gen.control_comms[0], gen.control_comms[1],
-            pulses.hx, pulses.hy, pulses.dt,
-        )
     d2 = gen.dim * gen.dim
     if not pulses.num_pulses:
         return np.eye(d2, dtype=np.complex128)
     channel = 0
     for q, *parts in gen.sectors:
-        total = np.eye(q.shape[1])
-        for step in _real_steps(parts, pulses):
-            total = step @ total
+        if q.shape[1] <= 16:
+            total = _kernels.piecewise_total(*parts, pulses.hx, pulses.hy, pulses.dt)
+        else:
+            total = np.eye(q.shape[1])
+            for step in _real_steps(parts, pulses):
+                total = step @ total
         channel = channel + q @ total @ dagger(q)
     return channel
 
@@ -614,9 +605,11 @@ def dt_validity_check(gen, h_max, dt):
     """Check ``dt`` against the approximate-gradient validity bound.
 
     The bound is the inverse of the exact spectral norm (largest singular
-    value) of the ``(d^2, d^2)`` generator at full control amplitude; the
-    check passes when ``dt`` is at most a tenth of it.  The verdict belongs
-    to a run's discretisation, so call it once per run, not per gradient.
+    value) of the ``(d^2, d^2)`` generator at full control amplitude: the
+    largest of its sectors' ``R_base + h R_x + h R_y``, as F is block
+    diagonal in the unitary basis of the sectors' Q.  The check passes when
+    ``dt`` is at most a tenth of it.  The verdict belongs to a run's
+    discretisation, so call it once per run, not per gradient.
     Returns ``(ok, bound)``.  Raises ``ValueError`` unless ``h_max`` is
     finite and >= 0 and ``dt`` finite and > 0.
     """
@@ -624,7 +617,8 @@ def dt_validity_check(gen, h_max, dt):
         raise ValueError("h_max must be finite and >= 0")
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
-    norm = float(np.linalg.norm(gen.at(h_max, h_max), 2))
+    norm = max(float(np.linalg.norm(r_base + h_max * r_x + h_max * r_y, 2))
+               for _, r_base, r_x, r_y in gen.sectors)
     bound = math.inf if norm == 0.0 else 1.0 / norm
     return dt <= bound / 10.0, bound
 

@@ -68,11 +68,13 @@ def embed(op, sites, n_qubits):
 
     ``op`` is ``2^k x 2^k`` for ``k = len(sites)``; its j-th tensor factor
     acts on slot ``sites[j]``.  The slots must be distinct and in range, in
-    any order.
+    any order, and ``n_qubits`` >= 0.
     """
     if np.ndim(sites) != 1:
         raise ValueError(f"sites must be a sequence of slots, got {sites!r}")
     sites, n_qubits = tuple(_index(s, "sites") for s in sites), _index(n_qubits, "n_qubits")
+    if n_qubits < 0:
+        raise ValueError(f"n_qubits must be >= 0, got {n_qubits}")
     if len(set(sites)) != len(sites) or not all(0 <= s < n_qubits for s in sites):
         raise ValueError(f"sites {sites} must be distinct slots of {n_qubits} qubits")
     k, d = len(sites), 2**n_qubits

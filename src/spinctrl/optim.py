@@ -128,7 +128,7 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     a relative score change below 1e-12, when a line search fails, or after
     ``max_iters`` iterations; with ``max_iters=0`` it returns the clipped
     start.  Returns ``(point, score, iterations)``.  Raises ``ValueError``
-    unless ``start`` is a finite 1-D array.
+    unless ``start`` is a finite real 1-D array.
     """
     if obj.evaluate_with_gradient is None:
         raise ValueError("lbfgs_b_maximize requires an objective with gradients")
@@ -149,6 +149,8 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
             )
         return -float(score), -grad
 
+    if np.iscomplexobj(start):
+        raise ValueError(f"start must be real, got {start!r}")
     x = np.asarray(start, dtype=np.float64)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError(f"start must be a finite 1-D array, got {x!r}")

@@ -42,6 +42,7 @@ from spinctrl.model import (
     SpinSystem,
     build_collapse_ops,
     build_controls,
+    build_drift,
     embed,
     pauli,
     scenario_catalog,
@@ -67,9 +68,24 @@ def random_pulses(rng, m, dt, h_scale=2.0):
     )
 
 
+def dense_generator(gen, hx, hy):
+    """The ``(d^2, d^2)`` generator ``F(hx, hy)`` written out from the
+    generator's inputs alone: ``K(H0) + hx K(H_x) + hy K(H_y)`` plus the
+    dissipator of its collapse operators, never its sectors."""
+    ident = np.eye(gen.dim)
+    f = assemble_hamiltonian_super(gen.drift)
+    for h, control in zip((hx, hy), gen.controls, strict=True):
+        f = f + h * assemble_hamiltonian_super(control)
+    for op, gamma in gen.collapse:
+        gram = dagger(op) @ op
+        f = f + gamma * (kron(op, np.conj(op))
+                         - 0.5 * (kron(gram, ident) + kron(ident, np.conj(gram))))
+    return f
+
+
 def exact_step(gen, hx, hy, dt):
     """One interval of exact evolution, ``expm(dt F(hx, hy))``, from SciPy."""
-    return scipy.linalg.expm(dt * gen.at(hx, hy))
+    return scipy.linalg.expm(dt * dense_generator(gen, hx, hy))
 
 
 def exact_interval(gen, hx, hy, dt):
@@ -87,9 +103,8 @@ def split_factors(gen, hx, hy, dt):
     the library's plane forms and contractions.
     """
     e = scipy.linalg.expm(dt * gen.decay)
-    coherent = dt * (
-        assemble_hamiltonian_super(gen.drift)
-        + hx * gen.control_comms[0] + hy * gen.control_comms[1]
+    coherent = dt * assemble_hamiltonian_super(
+        gen.drift + hx * gen.controls[0] + hy * gen.controls[1]
     )
     return (kron(e, np.conj(e)), scipy.linalg.expm(dt * gen.jump_part),
             scipy.linalg.expm(coherent))
@@ -114,9 +129,10 @@ def propagate_state(propagator, rho):
 
 
 def dissipator(noise):
-    """One qubit's dissipator: the generator's base less ``K(H0)``."""
+    """One qubit's dissipator: the dense generator at zero amplitude less
+    ``K(H0)``."""
     gen = single_qubit_generator(noise)
-    return gen.base - assemble_hamiltonian_super(gen.drift)
+    return dense_generator(gen, 0.0, 0.0) - assemble_hamiltonian_super(gen.drift)
 
 
 class TestPulseSequence:
@@ -157,6 +173,15 @@ class TestPulseSequence:
         p = PulseSequence([1e200, 0.0], [1e200, 1.0], 0.1)
         assert p.hx[0] == 1e200
 
+    def test_rejects_complex_amplitudes(self):
+        # a complex amplitude is refused, not cut to its real part
+        with pytest.raises(ValueError, match="hx must be real"):
+            PulseSequence(np.array([1 + 2j, 0]), [0.0, 0.0], 0.1)
+        with pytest.raises(ValueError, match="hy must be real"):
+            PulseSequence([1.0, 0.0], [1 + 2j, 0], 0.1)
+        with pytest.raises(ValueError, match="hx must be real"):
+            PulseSequence.from_genome(np.array([1 + 2j, 0]), 0.1)
+
     @pytest.mark.parametrize("dt", [np.inf, np.nan, -np.inf])
     def test_rejects_non_finite_dt(self, dt):
         with pytest.raises(ValueError, match="dt"):
@@ -196,7 +221,7 @@ class TestDissipator:
             for _ in range(5):
                 hx, hy = rng.normal(size=2)
                 rho = random_complex(rng, (4, 4))
-                got = unres(gen.at(hx, hy) @ res(rho))
+                got = unres(dense_generator(gen, hx, hy) @ res(rho))
                 want = lindblad_rhs(rho, gen.drift + hx * sx + hy * sy, ops)
                 assert np.allclose(got, want, atol=1e-13)
 
@@ -282,9 +307,6 @@ class TestExactPropagation:
         gen = build_generator(system, 1, None)
         pulses = random_pulses(rng, 6, 0.15)
         got = total_propagator_exact(gen, pulses)
-
-        from spinctrl.model import build_drift
-
         h0 = build_drift(system)
         sx, sy = build_controls(system, 1)
         u = np.eye(system.dim, dtype=complex)
@@ -318,28 +340,58 @@ class TestExactPropagation:
 
     @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
     @pytest.mark.parametrize("scenario_id", list("def"))
-    def test_real_basis_chain_matches_compiled_kernel(self, scenario_id, kind, rng):
+    def test_real_basis_chain_matches_compiled_kernel(self, scenario_id, kind, rng, monkeypatch):
+        # every sector at d = 8 has more than 16 columns, so none runs the kernel
         scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
         noise = kind and NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
         gen = build_generator(scenario.system, scenario.control_site, noise)
         dt = scenario.total_time / scenario.num_pulses
+        base = dense_generator(gen, 0.0, 0.0)
+        comms = [assemble_hamiltonian_super(h) for h in gen.controls]
+        kernel = _kernels.piecewise_total
+
+        def total(*args):
+            raise AssertionError("a sector of more than 16 columns ran the compiled kernel")
+
+        monkeypatch.setattr(_kernels, "piecewise_total", total)
         for h_max in (5.0, scenario.h_max):
             pulses = random_pulses(rng, scenario.num_pulses, dt, h_max)
-            want = _kernels.piecewise_total(
-                gen.base, *gen.control_comms, pulses.hx, pulses.hy, dt
-            )
+            want = kernel(base, *comms, pulses.hx, pulses.hy, dt)
             got = total_propagator_exact(gen, pulses)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_two_qubits_run_the_compiled_kernel(self, rng):
+    def test_two_qubits_run_the_compiled_kernel(self, rng, monkeypatch):
+        # the one 16-column sector runs the compiled kernel, not SciPy's expm
         gen = build_generator(
             SpinSystem.chain(2), 1, NoiseSpec.on_all_sites("phase_damping", 0.1, 2)
         )
         pulses = random_pulses(rng, 32, 0.065, 100.0)
-        want = _kernels.piecewise_total(
-            gen.base, *gen.control_comms, pulses.hx, pulses.hy, pulses.dt
-        )
-        assert np.array_equal(total_propagator_exact(gen, pulses), want)
+        want = chain([exact_step(gen, hx, hy, pulses.dt)
+                      for hx, hy in zip(pulses.hx, pulses.hy)], gen.dim**2)
+        forbid_lindblad_expm(monkeypatch, "a 16-column sector ran SciPy's expm")
+        got = total_propagator_exact(gen, pulses)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
+    def test_two_qubit_sectors_of_ten_and_six(self, kind, rng, monkeypatch):
+        # driving both sites of a 2-qubit chain keeps the reflection, so the
+        # 16 columns split into two sectors, each run by the compiled kernel
+        system = SpinSystem.chain(2)
+        x, y = (kron(pauli(a), np.eye(2)) + kron(np.eye(2), pauli(a)) for a in "xy")
+        noise = kind and NoiseSpec.on_all_sites(kind, 0.1, 2)
+        collapse = build_collapse_ops(system, noise) if noise else ()
+        gen = Generator(build_drift(system), (x, y), collapse)
+        assert [q.shape[1] for q, *_ in gen.sectors] == [10, 6]
+        pulses = random_pulses(rng, 32, 0.065, 100.0)
+        want = chain([exact_step(gen, hx, hy, pulses.dt)
+                      for hx, hy in zip(pulses.hx, pulses.hy)], gen.dim**2)
+        forbid_lindblad_expm(monkeypatch, "a sector of 10 or 6 columns ran SciPy's expm")
+        got = total_propagator_exact(gen, pulses)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for h in (5.0, 100.0):
+            _, bound = dt_validity_check(gen, h, 0.01)
+            sigma_max = np.linalg.svd(dense_generator(gen, h, h), compute_uv=False)[0]
+            assert abs(bound * sigma_max - 1.0) < 1e-12
 
     def test_rejects_generator_that_breaks_hermiticity(self, rng):
         # the commutator -i [H, rho] of a non-Hermitian H is not real in the
@@ -402,10 +454,7 @@ class TestExactPropagation:
         assert peak < 2**20
 
 
-WRONG_SHAPES = [
-    ("drift", None), ("controls", 0), ("controls", 1), ("control_comms", 0), ("control_comms", 1),
-    ("collapse", 0),
-]
+WRONG_SHAPES = [("drift", None), ("controls", 0), ("controls", 1), ("collapse", 0)]
 DERIVED_FIELDS = [f.name for f in dataclasses.fields(Generator) if not f.init]
 
 
@@ -423,20 +472,13 @@ class TestGeneratorInvariants:
     @pytest.mark.parametrize("name, index", WRONG_SHAPES)
     def test_rejects_field_of_wrong_shape(self, name, index):
         # d = 4: a (4, 3) drift is not square, and a (3, 3) control or
-        # collapse operator is not d x d; the control commutators are derived,
-        # so one handed in is refused whatever its shape
+        # collapse operator is not d x d
         gen, wrong = phase_damped_pair(), np.zeros((3, 3))
         changes, expected = {
             "drift": ({"drift": np.zeros((4, 3))}, "drift must be a non-empty square matrix"),
             "controls": (
                 {"controls": [wrong if i == index else h for i, h in enumerate(gen.controls)]},
                 "controls must have shape (4, 4), got (3, 3)",
-            ),
-            "control_comms": (
-                {"control_comms": tuple(
-                    wrong if i == index else k for i, k in enumerate(gen.control_comms)
-                )},
-                "field control_comms is declared with init=False",
             ),
             "collapse": (
                 {"collapse": ((wrong, 0.1),)}, "collapse must have shape (4, 4), got (3, 3)"
@@ -464,6 +506,9 @@ class TestGeneratorInvariants:
         }[case]
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
             dataclasses.replace(gen, **changes)
+
+    def test_derived_fields(self):
+        assert DERIVED_FIELDS == ["dim", "jump_part", "decay", "noiseless", "reflection", "sectors"]
 
     @pytest.mark.parametrize("name", DERIVED_FIELDS)
     def test_derived_fields_are_read_only(self, name):
@@ -517,14 +562,16 @@ class TestGeneratorInvariants:
             assert not q.flags.writeable
             for r in blocks:
                 assert r.dtype == np.float64 and r.flags.c_contiguous and not r.flags.writeable
-        # the sector blocks rebuild the base and both control commutators
-        for i, x in enumerate((gen.base, *gen.control_comms), 1):
+        # the sector blocks rebuild the control-independent generator and
+        # both control commutators
+        base = dense_generator(gen, 0.0, 0.0)
+        parts = (base, *(assemble_hamiltonian_super(h) for h in gen.controls))
+        for i, x in enumerate(parts, 1):
             rebuilt = sum(sector[0] @ sector[i] @ dagger(sector[0]) for sector in gen.sectors)
             assert np.max(np.abs(rebuilt - x)) < 1e-13 * np.max(np.abs(x))
         if np.array_equal(gen.reflection, np.arange(gen.dim)):
             [(q, *blocks)] = gen.sectors
-            for r, x in zip(blocks, (gen.base, *gen.control_comms), strict=True):
-                assert np.array_equal(r, (dagger(q) @ x @ q).real)
+            assert q.shape == (gen.dim**2,) * 2
 
     @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     def test_trace_preservation_of_generator(self, kind, rng):
@@ -532,7 +579,7 @@ class TestGeneratorInvariants:
         gen = build_generator(
             SpinSystem.chain(n), 0, NoiseSpec.on_all_sites(kind, 0.6, n)
         )
-        full = gen.at(1.7, -0.9)
+        full = dense_generator(gen, 1.7, -0.9)
         left = res(np.eye(gen.dim)) @ full
         assert np.max(np.abs(left)) < 1e-12
 
@@ -690,14 +737,14 @@ def dense_split_chain(gen, pulses, target):
     steps, dsteps = [], []
     for hx, hy in zip(pulses.hx, pulses.hy):
         a, b, c = split_factors(gen, hx, hy, dt)
-        coherent = dt * (
-            assemble_hamiltonian_super(gen.drift)
-            + hx * gen.control_comms[0] + hy * gen.control_comms[1]
+        coherent = dt * assemble_hamiltonian_super(
+            gen.drift + hx * gen.controls[0] + hy * gen.controls[1]
         )
         steps.append(a @ b @ c)
         dsteps.append(
-            [a @ b @ scipy.linalg.expm_frechet(coherent, dt * k, compute_expm=False)
-             for k in gen.control_comms]
+            [a @ b @ scipy.linalg.expm_frechet(
+                coherent, dt * assemble_hamiltonian_super(h), compute_expm=False
+            ) for h in gen.controls]
         )
     grad = np.empty((2 * m,) + np.shape(target)[:-2])
     for k in range(m):
@@ -716,8 +763,9 @@ def dense_first_order_chain(gen, pulses, target):
     d2 = gen.dim * gen.dim
     steps = [exact_step(gen, hx, hy, dt) for hx, hy in zip(pulses.hx, pulses.hy)]
     grad = np.empty((2 * m,) + np.shape(target)[:-2])
+    comms = [assemble_hamiltonian_super(h) for h in gen.controls]
     for k in range(m):
-        for c, comm in enumerate(gen.control_comms):
+        for c, comm in enumerate(comms):
             step_derivative = (
                 chain(steps[k + 1:], d2) @ (dt * comm @ steps[k]) @ chain(steps[:k], d2)
             )
@@ -1114,6 +1162,16 @@ class TestValidityCheck:
         _, b2 = dt_validity_check(gen, 400.0, 0.1)
         assert 1.8 < b1 / b2 < 2.2
 
+    def test_norm_in_the_odd_sector(self):
+        # with the swap as collapse operator and no Hamiltonian, F is 0 on
+        # reflection-symmetric matrices and -2 on antisymmetric ones, so the
+        # whole norm sits in the -1 sector
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        x, y = (kron(pauli(a), np.eye(2)) + kron(np.eye(2), pauli(a)) for a in "xy")
+        gen = Generator(np.zeros((4, 4)), (x, y), ((swap, 1.0),))
+        assert [q.shape[1] for q, *_ in gen.sectors] == [10, 6]
+        assert abs(dt_validity_check(gen, 0.0, 0.01)[1] - 0.5) < 1e-14
+
     @pytest.mark.parametrize("h", [5.0, 100.0])
     def test_bound_is_inverse_largest_singular_value(self, h):
         # with and without noise the norm is that of the d^2 x d^2 generator
@@ -1124,7 +1182,7 @@ class TestValidityCheck:
         ):
             gen = build_generator(scenario.system, scenario.control_site, noise)
             _, bound = dt_validity_check(gen, h, 0.01)
-            sigma_max = np.linalg.svd(gen.at(h, h), compute_uv=False)[0]
+            sigma_max = np.linalg.svd(dense_generator(gen, h, h), compute_uv=False)[0]
             assert abs(bound * sigma_max - 1.0) < 1e-12
 
 

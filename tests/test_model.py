@@ -53,6 +53,10 @@ class TestEmbed:
         with pytest.raises(ValueError, match="site"):
             model.embed(model.pauli("x"), (0.5,), 2)
 
+    def test_rejects_negative_qubit_count(self):
+        with pytest.raises(ValueError, match="n_qubits must be >= 0, got -1"):
+            model.embed(np.eye(1), (), -1)
+
     def test_rejects_non_integer_qubit_count(self):
         with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.0"):
             model.embed(model.pauli("x"), (0,), 2.0)

@@ -144,6 +144,12 @@ class TestLbfgs:
         with pytest.raises(ValueError, match="start must be a finite 1-D array"):
             lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), start)
 
+    def test_rejects_complex_start(self):
+        # refused, not cut to its real part
+        objective = Objective(evaluate=sphere, evaluate_with_gradient=lambda x: 1 / 0)
+        with pytest.raises(ValueError, match="start must be real"):
+            lbfgs_b_maximize(objective, Bounds(-1.0, 1.0), np.array([0.5 + 1j]))
+
     def test_zero_max_iters_returns_clipped_start(self):
         calls = []
 
