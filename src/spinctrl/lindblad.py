@@ -437,7 +437,7 @@ def _unitary_gradient(u, target):
 
 
 def _traces(p, ops):
-    """Op-major ``Re Tr(P_k op_c)`` from one (M, d^2) by (d^2, c) GEMM."""
+    """Op-major ``Re Tr(P_k op_c)``, P real or complex, from one (M, d^2) by (d^2, c) GEMM."""
     ops = np.stack(ops).swapaxes(-1, -2).reshape(len(ops), -1)
     return (p.reshape(-1, ops.shape[-1]) @ ops.T).real.T.reshape(-1)
 
@@ -542,10 +542,11 @@ def split_gradient(gen, pulses, target):
             if k:
                 bt = b_t @ _coherent(kets[k].T, bras[k].T, bt)
         del x  # 3 MiB on (d), freed before P is built
-        # _ket_planes(G) is Re(G c[p, q]) on planes (p, q); _bra_planes(G) Re(G c[q, p])
-        c = np.array([[1, 1j], [-1j, 1]])
-        p = (np.einsum("kapbq,pq->kba", ket_terms.reshape(m, d, 2, d, 2), c)
-             + np.einsum("kpaqb,qp->kba", bra_terms.reshape(m, 2, d, 2, d), c))
+        ket = ket_terms.reshape(m, d, 2, d, 2).transpose(2, 4, 0, 1, 3)
+        bra = bra_terms.reshape(m, 2, d, 2, d).transpose(1, 3, 0, 2, 4)
+        # Re P^T: planes (0, 0) + (1, 1) of both; Im P^T: ket (0, 1) - (1, 0), bra (1, 0) - (0, 1)
+        re = ket[0, 0] + ket[1, 1] + bra[0, 0] + bra[1, 1]
+        p = (re + 1j * (ket[0, 1] - ket[1, 0] - bra[0, 1] + bra[1, 0])).swapaxes(-1, -2)
     # phi[p, q] = -i dt (e^{2i delta} - 1) / (2i delta), delta = dt (w_q -
     # w_p) / 2, as e^{i delta} sinc(delta); its transpose phi_t swaps p, q
     delta = 0.5 * dt * (w[:, :, None] - w[:, None, :])
@@ -567,13 +568,14 @@ def machnes_gradient(gen, pulses, target):
     :func:`_unitary_gradient`.
 
     With collapse operators, for every d, each ``(Q, R_base, R_x, R_y)`` of
-    the generator's ``sectors`` runs its own real chain: the step ``Q^dag
-    X_k Q`` is the ``R_k`` of :func:`_real_steps`, its derivative ``dt R_c
-    R_k``, and the chain scores against ``Re(Q^dag T Q) / d^2``, exact for
-    any complex target as the chain is real; the fidelity and gradient
-    are the sums over sectors.  The steps and the forward products ``fwd_k
-    = R_{k-1} ... R_0`` are stored; ``bt``, the transposed product of that
-    score and the later steps, runs back through them.
+    the generator's ``sectors`` runs its own real chain: the step ``Q^dag X_k
+    Q`` is the ``R_k`` of :func:`_real_steps`, its derivative ``dt R_c R_k``,
+    and the chain scores against ``Re(Q^dag T Q) / d^2``, exact for any
+    complex target as the chain is real; the fidelity and gradient are the
+    sums over sectors.  The steps and the forward products ``fwd_k = R_{k-1}
+    ... R_0`` are stored.  Once the backward sweep has used step k it stores
+    ``P_k = fwd_{k+1} bt_k^T`` there, bt_k the transposed product of the score
+    and the later steps, and one :func:`_traces` call reads P.
     Returns ``(f, grad)``: ``grad[:M]`` along hx, ``grad[M:]`` along hy.
     """
     target = _checked_target(gen, target)
@@ -584,7 +586,7 @@ def machnes_gradient(gen, pulses, target):
 
     fidelity, grad = 0.0, np.zeros(2 * m)
     for q, *parts in gen.sectors:
-        n, (_, r_x, r_y) = q.shape[1], parts
+        n = q.shape[1]
         steps, fwd = np.empty((m, n, n)), np.empty((m + 1, n, n))
         fwd[0] = np.eye(n)
         for k, step in enumerate(_real_steps(parts, pulses)):
@@ -593,11 +595,8 @@ def machnes_gradient(gen, pulses, target):
         bt = (dagger(q) @ target @ q).real / len(q)
         fidelity += float(np.sum(bt * fwd[m]))
         for k in range(m - 1, -1, -1):
-            # sum(bt * dt R_c R_k fwd_k) = dt sum(R_c^T * (fwd_{k+1} bt^T))
-            y = fwd[k + 1] @ bt.T
-            grad[[k, m + k]] += [dt * np.sum(rc.T * y) for rc in (r_x, r_y)]
-            if k:
-                bt = steps[k].T @ bt
+            bt, steps[k] = steps[k].T @ bt, fwd[k + 1] @ bt.T
+        grad += dt * _traces(steps, parts[1:])  # dt Tr(R_c P_k) = sum(bt_k * dt R_c R_k fwd_k)
     return fidelity, grad
 
 

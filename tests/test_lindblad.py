@@ -1009,6 +1009,33 @@ class TestSplitKronecker:
         monkeypatch.setattr(lindblad._kernels, "piecewise_steps", steps)
         machnes_gradient(gen, pulses, target_superoperator(scenario))
 
+    @pytest.mark.parametrize("scenario_id, sectors", [("a", 1), ("d", 2)])
+    def test_noisy_gradients_read_p_by_one_contraction(self, scenario_id, sectors, rng, monkeypatch):
+        # machnes_gradient stores P_k over its used steps and reads them by
+        # one _traces call per sector; split_gradient forms P from plane
+        # slices, without einsum
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        noise = NoiseSpec.on_all_sites("amplitude_damping", 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        assert len(gen.sectors) == sectors
+        pulses = catalog_generator_and_pulses(scenario, rng)[1]
+        target = target_superoperator(scenario)
+        traces = lindblad._traces
+        calls = []
+
+        def counted(p, ops):
+            calls.append(p.shape)
+            return traces(p, ops)
+
+        def einsum(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr(lindblad, "_traces", counted)
+        monkeypatch.setattr(np, "einsum", einsum)
+        machnes_gradient(gen, pulses, target)
+        assert calls == [(pulses.num_pulses, q.shape[1], q.shape[1]) for q, *_ in gen.sectors]
+        split_gradient(gen, pulses, target)
+
     def test_split_propagator_takes_unitaries_from_one_kernel_call(self, rng, monkeypatch):
         # the interval unitaries come from one piecewise_steps call on the
         # d x d -iH, not from an eigendecomposition
@@ -1101,16 +1128,22 @@ class TestSplitKronecker:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("gradient, mib", [(split_gradient, 8), (machnes_gradient, 10)])
-    def test_gradient_memory(self, gradient, mib, rng):
+    @pytest.mark.parametrize("gradient, mib, scenario_id", [
+        pytest.param(split_gradient, 8, "d", id="split_gradient-8"),
+        pytest.param(machnes_gradient, 10, "d", id="machnes_gradient-10"),
+        pytest.param(machnes_gradient, 10, "f", id="machnes_gradient-10-f"),
+    ])
+    def test_gradient_memory(self, gradient, mib, scenario_id, rng):
         # scenario (d), M = 128: split_gradient keeps its real-plane steps
         # before B on the 24 kept input columns, one per orbit of the
         # Hermitian swap and the reflection, one (M, 2 d^2, 24) array, 3 MiB,
         # and no complex forward stack or transposed copies of the (2d, 2d)
         # plane blocks.  machnes_gradient holds, per sector, its real (M, n,
         # n) steps and (M + 1, n, n) forward products: 3.3 MiB for n = 40,
-        # then 1.2 MiB for n = 24
-        scenario = scenario_catalog()[3]
+        # then 1.2 MiB for n = 24; the step stack ends up holding P_k, so
+        # there is no third stack.  On (f), one 64-column sector at M = 128,
+        # the two stacks are 8 MiB, and a separate P stack would add 4 MiB
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
         gen = build_generator(
             scenario.system,
             scenario.control_site,
