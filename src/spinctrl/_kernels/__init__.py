@@ -4,12 +4,16 @@ The Cython extension is used when it can be imported, the fallback
 otherwise; ``BACKEND`` names the one in use.  The fallback's exponentials
 are ``scipy.linalg.expm``; the compiled core is the package's only
 hand-written numerical kernel.  ``piecewise_steps`` takes any square
-generators, but the package passes it only the d x d ``-iH``, for the
-interval unitaries ``exp(-i dt H_k)`` of the split propagator and the
-noiseless first-order gradient.  ``piecewise_total`` propagates each
-symmetry sector of at most 16 columns of the generator's real form in the
-Hermitian basis (``lindblad.Generator.sectors``); every larger sector's
-step is a real ``scipy.linalg.expm`` (``lindblad._real_steps``).
+generators.  The package passes it the d x d ``-iH``, for the interval
+unitaries ``exp(-i dt H_k)`` of the split propagator and the noiseless
+first-order gradient, and the real parts of each symmetry sector of at
+most 16 columns of the generator's real form in the Hermitian basis
+(``lindblad.Generator.sectors``), for the exact steps that
+``lindblad._memo_steps`` has not stored yet; for real inputs the
+imaginary part of the result is exactly 0.  Every larger sector's step is
+a real ``scipy.linalg.expm`` (``lindblad._real_steps``).  The compiled
+core's ``piecewise_total`` and ``chain_product`` have no caller and stay
+in ``_cykernels.pyx`` until Cython is available to regenerate the C.
 
 ``python setup.py build_ext --inplace`` compiles the committed
 ``_cykernels.c`` in place, with a C compiler and the Python headers but
@@ -29,6 +33,5 @@ except ImportError:
     BACKEND = "numpy"
 
 piecewise_steps = _impl.piecewise_steps
-piecewise_total = _impl.piecewise_total
 
-__all__ = ["BACKEND", "piecewise_steps", "piecewise_total"]
+__all__ = ["BACKEND", "piecewise_steps"]

@@ -1,9 +1,10 @@
 """NumPy and SciPy implementations of the propagation hot kernels.
 
-This module mirrors the API of the compiled core (``_cykernels``) and is
-used as a fallback when the extension is not built.  ``expm`` is SciPy's
-scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
-(2009)).  All matrices are dense complex128 and row-major.
+This module mirrors the functions of the compiled core (``_cykernels``)
+that the package calls, and is used as a fallback when the extension is not
+built.  ``expm`` is SciPy's scaling and squaring (Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31, 970 (2009)).  All matrices are dense complex128 and
+row-major.
 """
 
 import numpy as np
@@ -24,11 +25,3 @@ def piecewise_steps(base, kx, ky, hx, hy, dt):
     hx = np.asarray(hx, dtype=np.float64)[:, None, None]
     hy = np.asarray(hy, dtype=np.float64)[:, None, None]
     return expm(dt * (base + hx * kx + hy * ky))
-
-
-def piecewise_total(base, kx, ky, hx, hy, dt):
-    """Total propagator of a piecewise-constant generator, interval 0 first."""
-    total = np.eye(base.shape[0], dtype=np.complex128)
-    for step in piecewise_steps(base, kx, ky, hx, hy, dt):
-        total = step @ total
-    return total

@@ -14,7 +14,9 @@ Superoperators and propagators are plain complex128 ``(d^2, d^2)`` arrays.
 
 from __future__ import annotations
 
+import collections
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -117,8 +119,9 @@ class Generator:
     eigenspace (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  On scenario
     (d) the sectors have 40 and 24 columns.  Without a reflection the -1
     eigenspace is empty, and the one sector has ``Q = S``.  Exact
-    propagation runs a sector of at most 16 columns through the compiled
-    ``_kernels.piecewise_total``, a larger one through :func:`_real_steps`.
+    propagation takes the steps of a sector of at most 16 columns from a
+    bounded memo filled by the compiled ``_kernels.piecewise_steps``
+    (:func:`_memo_steps`), those of a larger one from :func:`_real_steps`.
     """
 
     drift: np.ndarray
@@ -236,30 +239,41 @@ def total_propagator_exact(gen, pulses):
     """Exact propagator of the whole sequence; interval 0 acts first.
 
     Each ``(Q, R_base, R_x, R_y)`` of the generator's ``sectors`` multiplies
-    its real steps onto a running product, and the result is the sum of ``Q
-    total Q^dag``.  A sector of at most 16 columns runs one compiled
-    ``_kernels.piecewise_total`` call, a larger one the SciPy loop of
-    :func:`_real_steps`.  With one BLAS thread on a 2-core Xeon, on scenario
-    (d) with 128 intervals, its sectors' 40 x 40 and 24 x 24 chains take 19
-    ms, one 64 x 64 chain 31 ms and the compiled kernel 70 ms (best of
-    15-20).  At 16 columns the SciPy loop is no faster (0.94 against 0.75 ms
-    on (a)), and it holds the interpreter lock that the compiled one
-    releases, so the GA's worker threads would no longer overlap.  An empty
-    sequence gives exactly the identity.
+    its real steps into a sector total, and the result is the sum of ``Q
+    total Q^dag``.  A sector of at most 16 columns takes its steps from the
+    memo of :func:`_memo_steps` and multiplies them by :func:`_product`.  A
+    larger one multiplies the SciPy steps of :func:`_real_steps` onto a
+    running product, never holding them all: one 40-column step is 12.8
+    kB.  With one BLAS thread on a 2-core Xeon, on scenario (d) with 128
+    intervals, its sectors' 40 x 40 and 24 x 24 chains take 19 ms, one 64 x
+    64 chain 31 ms and the compiled kernel 70 ms (best of 15-20).  At 16
+    columns the SciPy loop is no faster than the compiled kernel (0.94
+    against 0.75 ms for 32 steps on (a)), and it holds the interpreter lock
+    that the kernel releases, so the GA's worker threads would no longer
+    overlap.  An empty sequence gives exactly the identity.
     """
     d2 = gen.dim * gen.dim
     if not pulses.num_pulses:
         return np.eye(d2, dtype=np.complex128)
     channel = 0
-    for q, *parts in gen.sectors:
+    for sector, (q, *parts) in enumerate(gen.sectors):
         if q.shape[1] <= 16:
-            total = _kernels.piecewise_total(*parts, pulses.hx, pulses.hy, pulses.dt)
+            total = _product(_memo_steps(gen, sector, pulses))
         else:
             total = np.eye(q.shape[1])
             for step in _real_steps(parts, pulses):
                 total = step @ total
         channel = channel + q @ total @ dagger(q)
     return channel
+
+
+def _product(steps):
+    """``steps[M-1] @ ... @ steps[0]`` of an (M, n, n) stack, M >= 1, in
+    about log2(M) batched products of neighbouring pairs."""
+    while len(steps) > 1:
+        pairs = steps[1::2] @ steps[:-1:2]
+        steps = np.concatenate([pairs, steps[-1:]]) if len(steps) % 2 else pairs
+    return steps[0]
 
 
 def _real_steps(parts, pulses):
@@ -270,6 +284,90 @@ def _real_steps(parts, pulses):
     (r_base, r_x, r_y), dt = parts, pulses.dt
     for hx, hy in zip(pulses.hx, pulses.hy):
         yield scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y))
+
+
+MEMO_STEPS = 1024  # steps kept per generator, dt and sector of at most 16 columns
+_STEP_MEMOS = weakref.WeakKeyDictionary()
+_MEMO_LOCK = threading.Lock()
+
+
+class _StepRing:
+    """The ``MEMO_STEPS`` most recently used real steps of one sector at
+    one dt, in a preallocated (MEMO_STEPS, n, n) ring: 2 MiB at 16 columns.
+    ``slots`` maps the bits of a step's (hx, hy) pair to its slot, least
+    recently used first."""
+
+    def __init__(self, n):
+        self.steps = np.empty((MEMO_STEPS, n, n))
+        self.slots = collections.OrderedDict()
+
+    def take(self, keys, out):
+        """Copy the stored steps of ``keys`` into ``out`` and mark them
+        used; return the positions of the others."""
+        hits, slots, miss = [], [], []
+        for k, key in enumerate(keys):
+            slot = self.slots.get(key)
+            if slot is None:
+                miss.append(k)
+            else:
+                self.slots.move_to_end(key)
+                hits.append(k)
+                slots.append(slot)
+        out[hits] = self.steps[slots]
+        return miss
+
+    def put(self, keys, steps):
+        """Store the steps of the distinct ``keys``, evicting the least
+        recently used; a pair another thread stored first is skipped."""
+        size, slots, rows = len(self.steps), [], []
+        keys, steps = keys[-size:], steps[-size:]  # more would evict each other
+        for row, key in enumerate(keys):
+            if key not in self.slots:
+                if len(self.slots) < size:
+                    slot = len(self.slots)
+                else:
+                    slot = self.slots.popitem(last=False)[1]
+                self.slots[key] = slot
+                slots.append(slot)
+                rows.append(row)
+        self.steps[slots] = steps[rows]
+
+
+def _memo_steps(gen, sector, pulses):
+    """The (M, n, n) real steps of one of ``Generator.sectors``, n <= 16,
+    each exponentiated once while it stays among the ``MEMO_STEPS`` most
+    recently used of its generator and dt.
+
+    A GA copies genes bit for bit, so about 70% of the steps of a GA run
+    on scenario (a) repeat an (hx, hy) pair exponentiated earlier in it.
+    Each interval's exact pair is looked up; the distinct missing ones run
+    through one ``_kernels.piecewise_steps`` call on the sector's real
+    ``(R_base, R_x, R_y)``, whose imaginary part is then exactly 0, and
+    their real part is stored.  One lock guards the lookups, the copy of the
+    hits and the stores, but not the kernel, which releases the interpreter
+    lock, so the GA's worker threads still overlap.  The rings are held
+    weakly per generator, like :func:`_noise_factors`.
+    """
+    _, *parts = gen.sectors[sector]
+    n, dt = len(parts[0]), pulses.dt
+    # the 16 bytes of each interval's (hx, hy): equal keys, bit-identical steps
+    keys = np.stack((pulses.hx, pulses.hy), axis=1).view("V16")[:, 0].tolist()
+    steps = np.empty((len(keys), n, n))
+    with _MEMO_LOCK:
+        rings = _STEP_MEMOS.setdefault(gen, {})
+        ring = rings.get((dt, sector))
+        if ring is None:
+            ring = rings[dt, sector] = _StepRing(n)
+        miss = ring.take(keys, steps)
+    if miss:
+        new = {}  # each missing pair's row in fresh
+        rows = [new.setdefault(keys[k], len(new)) for k in miss]
+        hx, hy = np.frombuffer(b"".join(new), dtype=np.float64).reshape(-1, 2).T
+        fresh = _kernels.piecewise_steps(*parts, hx, hy, dt).real
+        steps[miss] = fresh[rows]
+        with _MEMO_LOCK:
+            ring.put(list(new), fresh)
+    return steps
 
 
 _NOISE_FACTORS = weakref.WeakKeyDictionary()

@@ -25,6 +25,16 @@ def rng():
     return np.random.default_rng(20240815)
 
 
+@pytest.fixture(autouse=True)
+def cold_step_memo():
+    """Empty the exact chains' step memo, so that every test starts cold
+    and none depends on the order the tests run in."""
+    from spinctrl import lindblad
+
+    with lindblad._MEMO_LOCK:
+        lindblad._STEP_MEMOS.clear()
+
+
 def loaded_by_import(module):
     """Whether ``import spinctrl`` in a fresh interpreter loads ``module``."""
     code = (

@@ -16,7 +16,7 @@ from conftest import random_complex
 from spinctrl import _kernels
 from spinctrl._kernels import _pykernels
 
-KERNEL_API = ("expm", "piecewise_steps", "piecewise_total")
+KERNEL_API = ("expm", "piecewise_steps")
 KERNELS = Path(_kernels.__file__).parent
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -36,8 +36,10 @@ def test_compiled_backend_is_built(cykernels):
 
 
 def test_public_names():
-    # the package's other exponentials call scipy.linalg.expm directly
-    assert _kernels.__all__ == ["BACKEND", "piecewise_steps", "piecewise_total"]
+    # the package's other exponentials call scipy.linalg.expm directly, and
+    # exact chains multiply the steps of piecewise_steps themselves
+    assert _kernels.__all__ == ["BACKEND", "piecewise_steps"]
+    assert not hasattr(_pykernels, "piecewise_total")
 
 
 def test_compiled_c_matches_pyx():
@@ -126,29 +128,25 @@ class TestChains:
         mk = lambda: random_complex(rng, (n, n))
         return mk(), mk(), mk(), rng.normal(size=m), rng.normal(size=m)
 
-    def test_piecewise_total_matches_steps(self, backend, rng):
+    def test_steps_match_one_expm_each(self, backend, rng):
         base, kx, ky, hx, hy = self._problem(rng, 9, 7)
         steps = backend.piecewise_steps(base, kx, ky, hx, hy, 0.05)
-        total = backend.piecewise_total(base, kx, ky, hx, hy, 0.05)
-        product = np.eye(9)
-        for step in steps:
-            product = step @ product
-        assert np.allclose(product, total, atol=1e-12)
+        for step, x, y in zip(steps, hx, hy, strict=True):
+            want = scipy.linalg.expm(0.05 * (base + x * kx + y * ky))
+            assert np.allclose(step, want, atol=1e-12)
 
     def test_empty_sequence_is_identity(self, backend, rng):
+        # no interval, no step: the chains start from the identity
         base, kx, ky, _, _ = self._problem(rng, 4, 1)
-        total = backend.piecewise_total(base, kx, ky, [], [], 0.1)
-        assert np.array_equal(total, np.eye(4))
         assert backend.piecewise_steps(base, kx, ky, [], [], 0.1).shape == (0, 4, 4)
 
     def test_order_is_first_interval_first(self, backend, rng):
         base = np.zeros((3, 3), dtype=complex)
         kx = random_complex(rng, (3, 3))
         ky = random_complex(rng, (3, 3))
-        total = backend.piecewise_total(base, kx, ky, [1.0, 0.0], [0.0, 1.0], 0.3)
-        first = backend.expm(0.3 * kx)
-        second = backend.expm(0.3 * ky)
-        assert np.allclose(total, second @ first, atol=1e-12)
+        steps = backend.piecewise_steps(base, kx, ky, [1.0, 0.0], [0.0, 1.0], 0.3)
+        assert np.allclose(steps[0], backend.expm(0.3 * kx), atol=1e-12)
+        assert np.allclose(steps[1], backend.expm(0.3 * ky), atol=1e-12)
 
 
 class TestBackendParity:
@@ -167,10 +165,9 @@ class TestBackendParity:
         ky = random_complex(rng, (n, n))
         hx = rng.normal(size=m)
         hy = rng.normal(size=m)
-        for fn in ("piecewise_steps", "piecewise_total"):
-            a = getattr(cykernels, fn)(base, kx, ky, hx, hy, 0.02)
-            b = getattr(_pykernels, fn)(base, kx, ky, hx, hy, 0.02)
-            assert np.allclose(a, b, atol=1e-12)
+        a = cykernels.piecewise_steps(base, kx, ky, hx, hy, 0.02)
+        b = _pykernels.piecewise_steps(base, kx, ky, hx, hy, 0.02)
+        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_concurrent_calls_match_serial(backend, rng):
@@ -182,7 +179,6 @@ def test_concurrent_calls_match_serial(backend, rng):
     calls = {
         "expm": lambda: backend.expm(a),
         "piecewise_steps": lambda: backend.piecewise_steps(base, kx, ky, hx, hy, dt),
-        "piecewise_total": lambda: backend.piecewise_total(base, kx, ky, hx, hy, dt),
     }
     serial = {name: call() for name, call in calls.items()}
     # more threads than cores, switching as often as the interpreter allows

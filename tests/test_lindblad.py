@@ -19,6 +19,7 @@ from conftest import (
     unres,
 )
 from spinctrl import _kernels, lindblad
+from spinctrl._kernels import _pykernels
 from spinctrl.lindblad import (
     Generator,
     PulseSequence,
@@ -348,15 +349,15 @@ class TestExactPropagation:
         dt = scenario.total_time / scenario.num_pulses
         base = dense_generator(gen, 0.0, 0.0)
         comms = [assemble_hamiltonian_super(h) for h in gen.controls]
-        kernel = _kernels.piecewise_total
+        kernel = _kernels.piecewise_steps
 
-        def total(*args):
+        def steps(*args):
             raise AssertionError("a sector of more than 16 columns ran the compiled kernel")
 
-        monkeypatch.setattr(_kernels, "piecewise_total", total)
+        monkeypatch.setattr(_kernels, "piecewise_steps", steps)
         for h_max in (5.0, scenario.h_max):
             pulses = random_pulses(rng, scenario.num_pulses, dt, h_max)
-            want = kernel(base, *comms, pulses.hx, pulses.hy, dt)
+            want = chain(kernel(base, *comms, pulses.hx, pulses.hy, dt), gen.dim**2)
             got = total_propagator_exact(gen, pulses)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -366,11 +367,8 @@ class TestExactPropagation:
             SpinSystem.chain(2), 1, NoiseSpec.on_all_sites("phase_damping", 0.1, 2)
         )
         pulses = random_pulses(rng, 32, 0.065, 100.0)
-        want = chain([exact_step(gen, hx, hy, pulses.dt)
-                      for hx, hy in zip(pulses.hx, pulses.hy)], gen.dim**2)
         forbid_lindblad_expm(monkeypatch, "a 16-column sector ran SciPy's expm")
-        got = total_propagator_exact(gen, pulses)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert_close_to_oracle(gen, pulses, total_propagator_exact(gen, pulses))
 
     @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
     def test_two_qubit_sectors_of_ten_and_six(self, kind, rng, monkeypatch):
@@ -383,11 +381,8 @@ class TestExactPropagation:
         gen = Generator(build_drift(system), (x, y), collapse)
         assert [q.shape[1] for q, *_ in gen.sectors] == [10, 6]
         pulses = random_pulses(rng, 32, 0.065, 100.0)
-        want = chain([exact_step(gen, hx, hy, pulses.dt)
-                      for hx, hy in zip(pulses.hx, pulses.hy)], gen.dim**2)
         forbid_lindblad_expm(monkeypatch, "a sector of 10 or 6 columns ran SciPy's expm")
-        got = total_propagator_exact(gen, pulses)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert_close_to_oracle(gen, pulses, total_propagator_exact(gen, pulses))
         for h in (5.0, 100.0):
             _, bound = dt_validity_check(gen, h, 0.01)
             sigma_max = np.linalg.svd(dense_generator(gen, h, h), compute_uv=False)[0]
@@ -452,6 +447,162 @@ class TestExactPropagation:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def scenario_a_generator():
+    """Catalog scenario (a) with phase damping on both sites: one sector of
+    16 columns."""
+    scenario = next(s for s in scenario_catalog() if s.id == "a")
+    noise = NoiseSpec.on_all_sites("phase_damping", 0.1, scenario.num_qubits)
+    return build_generator(scenario.system, scenario.control_site, noise)
+
+
+def both_sites_generator():
+    """A 2-qubit chain driven on both sites, with phase damping: sectors of
+    10 and 6 columns."""
+    system = SpinSystem.chain(2)
+    x, y = (kron(pauli(a), np.eye(2)) + kron(np.eye(2), pauli(a)) for a in "xy")
+    noise = NoiseSpec.on_all_sites("phase_damping", 0.1, 2)
+    return Generator(build_drift(system), (x, y), build_collapse_ops(system, noise))
+
+
+def assert_close_to_oracle(gen, pulses, got):
+    """``got`` is the product of SciPy's dense steps to 1e-12 relative."""
+    want = chain([exact_step(gen, hx, hy, pulses.dt)
+                  for hx, hy in zip(pulses.hx, pulses.hy)], gen.dim**2)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """``counted_steps(impl)`` makes ``_kernels.piecewise_steps`` run impl,
+    by default the package's kernel, and returns a dict that counts its
+    calls and the steps they exponentiate."""
+
+    def install(impl=_kernels.piecewise_steps):
+        counts = {"calls": 0, "steps": 0}
+
+        def steps(base, kx, ky, hx, hy, dt):
+            counts["calls"] += 1
+            counts["steps"] += len(hx)
+            return impl(base, kx, ky, hx, hy, dt)
+
+        monkeypatch.setattr(_kernels, "piecewise_steps", steps)
+        return counts
+
+    return install
+
+
+@pytest.fixture(params=["pykernels", "cykernels"])
+def kernel_backend(request):
+    if request.param == "pykernels":
+        return _pykernels
+    return request.getfixturevalue("cykernels")
+
+
+class TestStepMemo:
+    """Exact chains of sectors of at most 16 columns take each distinct
+    step from the compiled kernel once, then from a bounded memo."""
+
+    def test_repeat_call_runs_no_kernel(self, counted_steps, rng):
+        gen = scenario_a_generator()
+        counts = counted_steps()
+        pulses = random_pulses(rng, 32, 0.065, 100.0)
+        first = total_propagator_exact(gen, pulses)
+        assert counts == {"calls": 1, "steps": 32}
+        again = total_propagator_exact(gen, pulses)
+        assert counts["calls"] == 1
+        assert np.array_equal(first, again)
+
+    @pytest.mark.parametrize("build", [scenario_a_generator, both_sites_generator])
+    def test_cold_memo_matches_oracle(self, build, kernel_backend, counted_steps, rng):
+        gen = build()
+        counts = counted_steps(kernel_backend.piecewise_steps)
+        pulses = random_pulses(rng, 32, 0.065, 100.0)
+        assert_close_to_oracle(gen, pulses, total_propagator_exact(gen, pulses))
+        assert counts["steps"] == 32 * len(gen.sectors)
+
+    def test_repeats_within_a_sequence_run_once(self, counted_steps, rng):
+        gen = scenario_a_generator()
+        counts = counted_steps()
+        hx, hy = rng.uniform(-100.0, 100.0, (2, 4))
+        pulses = PulseSequence(np.tile(hx, 5), np.tile(hy, 5), 0.065)
+        assert_close_to_oracle(gen, pulses, total_propagator_exact(gen, pulses))
+        assert counts["steps"] == 4
+
+    def test_small_memo_evicts_and_matches(self, counted_steps, monkeypatch, rng):
+        monkeypatch.setattr(lindblad, "MEMO_STEPS", 8)
+        gen = scenario_a_generator()
+        counts = counted_steps()
+        pulses = random_pulses(rng, 40, 0.065, 100.0)
+        first = total_propagator_exact(gen, pulses)
+        second = total_propagator_exact(gen, pulses)
+        assert_close_to_oracle(gen, pulses, first)
+        assert np.array_equal(first, second)
+        # the 8 most recent steps survive the first pass, the 32 others are evicted
+        assert counts["steps"] == 40 + 32
+
+    def test_least_recently_used_step_is_evicted(self, counted_steps, monkeypatch, rng):
+        monkeypatch.setattr(lindblad, "MEMO_STEPS", 8)
+        gen = scenario_a_generator()
+        counts = counted_steps()
+        hx, hy = rng.uniform(-100.0, 100.0, (2, 10))
+        for k in (range(8), [0], [8], [0], [1]):  # the new pair 8 evicts pair 1, not 0
+            total_propagator_exact(gen, PulseSequence(hx[k], hy[k], 0.065))
+        assert counts["steps"] == 8 + 1 + 1
+
+    @pytest.mark.parametrize("build", [scenario_a_generator, both_sites_generator])
+    def test_real_sector_steps_have_no_imaginary_part(self, build, kernel_backend, rng):
+        # the memo stores only the real part of the kernel's steps
+        for _, *parts in build().sectors:
+            hx, hy = rng.uniform(-100.0, 100.0, (2, 32))
+            steps = kernel_backend.piecewise_steps(*parts, hx, hy, 0.065)
+            assert steps.dtype == np.complex128
+            assert not np.any(steps.imag)
+
+    def test_concurrent_overlapping_sequences_match_serial(self, monkeypatch, rng):
+        # a small memo evicts while two threads look up, copy and store the
+        # same pairs; every channel is the serial one bit for bit
+        monkeypatch.setattr(lindblad, "MEMO_STEPS", 16)
+        gen = scenario_a_generator()
+        pool = rng.uniform(-100.0, 100.0, (2, 24))
+        inputs = [PulseSequence(*pool[:, rng.choice(24, 32)], 0.065) for _ in range(12)]
+        serial = [total_propagator_exact(gen, pulses) for pulses in inputs]
+        lindblad._STEP_MEMOS.clear()
+        barrier = threading.Barrier(2)
+
+        def run(order):
+            barrier.wait(timeout=30)
+            return [(k, total_propagator_exact(gen, inputs[k])) for _ in range(3) for k in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as workers:
+                orders = [range(len(inputs)), range(len(inputs) - 1, -1, -1)]
+                found = [f.result(timeout=60) for f in [workers.submit(run, o) for o in orders]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(got, serial[k]) for results in found for k, got in results)
+
+    def test_memory_is_bounded(self, counted_steps, rng):
+        # 5,000 distinct steps: the (1024, 16, 16) ring of 2 MiB and its
+        # index of 1,024 pairs are all the memo holds
+        gen = scenario_a_generator()
+        inputs = [random_pulses(rng, 100, 0.065, 100.0) for _ in range(50)]
+        counts = counted_steps()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for pulses in inputs:
+                total_propagator_exact(gen, pulses)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert counts["steps"] == 5000
+        assert 2 * 2**20 <= held <= 2.5 * 2**20
+        total_propagator_exact(gen, inputs[-1])  # still stored
+        assert counts["steps"] == 5000
 
 
 WRONG_SHAPES = [("drift", None), ("controls", 0), ("controls", 1), ("collapse", 0)]

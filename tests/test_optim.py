@@ -8,6 +8,8 @@ import pytest
 
 from conftest import loaded_by_import
 from spinctrl import optim
+from spinctrl.lindblad import PulseSequence, build_generator, state_fitness, total_propagator_exact
+from spinctrl.model import NoiseSpec, scenario_catalog
 from spinctrl.optim import (
     Bounds,
     GaConfig,
@@ -183,6 +185,22 @@ def run_ga(cfg, calls=None):
     return ga_maximize(Objective(evaluate=evaluate), Bounds(-2.0, 2.0), 3, cfg)
 
 
+def state_fitness_ga(cfg):
+    """A GA run on the exact state fitness of catalog scenario (a) with
+    phase damping, as a function of no arguments."""
+    scenario = next(s for s in scenario_catalog() if s.id == "a")
+    noise = NoiseSpec.on_all_sites("phase_damping", 0.1, scenario.num_qubits)
+    gen = build_generator(scenario.system, scenario.control_site, noise)
+    dt = scenario.total_time / scenario.num_pulses
+
+    def evaluate(x):
+        channel = total_propagator_exact(gen, PulseSequence.from_genome(x, dt))
+        return state_fitness(channel, scenario)
+
+    bounds = Bounds(-scenario.h_max, scenario.h_max)
+    return lambda: ga_maximize(Objective(evaluate=evaluate), bounds, scenario.num_pulses, cfg)
+
+
 class TestGa:
     CONFIG = GaConfig(population_size=8, generations=4, seed=7)
 
@@ -288,19 +306,22 @@ class TestGaWorkers:
 
     @pytest.mark.parametrize("count", [2, 3, 8, 64])
     def test_result_independent_of_worker_count(self, cores, count):
-        cores(1)
-        genome, score, history = run_ga(self.CONFIG)
-        cores(count)
-        baseline = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the workers' calls
-        try:
-            again = run_ga(self.CONFIG)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == baseline
-        assert np.array_equal(genome, again[0])
-        assert score == again[1] and history == again[2]
+        # the exact state fitness also runs the step memo of the exact
+        # chains under the pool: warm on the second run, shared by workers
+        for run in (lambda: run_ga(self.CONFIG), state_fitness_ga(self.CONFIG)):
+            cores(1)
+            genome, score, history = run()
+            cores(count)
+            baseline = threading.active_count()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # interleave the workers' calls
+            try:
+                again = run()
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == baseline
+            assert np.array_equal(genome, again[0])
+            assert score == again[1] and history == again[2]
 
     def test_objective_error_propagates(self, cores):
         cores(2)
