@@ -9,11 +9,14 @@ unitaries ``exp(-i dt H_k)`` of the split propagator and the noiseless
 first-order gradient, and the real parts of each symmetry sector of at
 most 16 columns of the generator's real form in the Hermitian basis
 (``lindblad.Generator.sectors``), for the exact steps that
-``lindblad._memo_steps`` has not stored yet; for real inputs the
-imaginary part of the result is exactly 0.  Every larger sector's step is
-a real ``scipy.linalg.expm`` (``lindblad._real_steps``).  The compiled
-core's ``piecewise_total`` and ``chain_product`` have no caller and stay
-in ``_cykernels.pyx`` until Cython is available to regenerate the C.
+``lindblad._memo_steps`` has not stored yet.  The compiled core works in
+complex arithmetic; the fallback exponentiates real inputs as real, in
+one ``scipy.linalg.expm`` call on the stack, and casts only the result.
+On both, the complex128 result of real inputs has an imaginary part of
+exactly 0.  Every larger sector's step is a real ``scipy.linalg.expm``
+(``lindblad._real_steps``).  The compiled core's ``piecewise_total`` and
+``chain_product`` have no caller and stay in ``_cykernels.pyx`` until
+Cython is available to regenerate the C.
 
 ``python setup.py build_ext --inplace`` compiles the committed
 ``_cykernels.c`` in place, with a C compiler and the Python headers but

@@ -119,9 +119,10 @@ class Generator:
     eigenspace (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  On scenario
     (d) the sectors have 40 and 24 columns.  Without a reflection the -1
     eigenspace is empty, and the one sector has ``Q = S``.  Exact
-    propagation takes the steps of a sector of at most 16 columns from a
-    bounded memo filled by the compiled ``_kernels.piecewise_steps``
-    (:func:`_memo_steps`), those of a larger one from :func:`_real_steps`.
+    propagation takes the steps of a sector of at most 16 columns from its
+    one memo ring of ``MEMO_STEPS`` steps, shared by every dt and filled by
+    the compiled ``_kernels.piecewise_steps`` (:func:`_memo_steps`), those
+    of a larger one from :func:`_real_steps`.
     """
 
     drift: np.ndarray
@@ -286,16 +287,16 @@ def _real_steps(parts, pulses):
         yield scipy.linalg.expm(dt * (r_base + hx * r_x + hy * r_y))
 
 
-MEMO_STEPS = 1024  # steps kept per generator, dt and sector of at most 16 columns
+MEMO_STEPS = 2048  # steps kept per generator and sector of at most 16 columns
 _STEP_MEMOS = weakref.WeakKeyDictionary()
 _MEMO_LOCK = threading.Lock()
 
 
 class _StepRing:
-    """The ``MEMO_STEPS`` most recently used real steps of one sector at
-    one dt, in a preallocated (MEMO_STEPS, n, n) ring: 2 MiB at 16 columns.
-    ``slots`` maps the bits of a step's (hx, hy) pair to its slot, least
-    recently used first."""
+    """The ``MEMO_STEPS`` most recently used real steps of one sector, in a
+    preallocated (MEMO_STEPS, n, n) ring: 4 MiB at 16 columns, the 64 x 32
+    steps of one default GA population on scenario (a).  ``slots`` maps the
+    bits of a step's (dt, hx, hy) to its slot, least recently used first."""
 
     def __init__(self, n):
         self.steps = np.empty((MEMO_STEPS, n, n))
@@ -318,7 +319,7 @@ class _StepRing:
 
     def put(self, keys, steps):
         """Store the steps of the distinct ``keys``, evicting the least
-        recently used; a pair another thread stored first is skipped."""
+        recently used; a key another thread stored first is skipped."""
         size, slots, rows = len(self.steps), [], []
         keys, steps = keys[-size:], steps[-size:]  # more would evict each other
         for row, key in enumerate(keys):
@@ -336,33 +337,35 @@ class _StepRing:
 def _memo_steps(gen, sector, pulses):
     """The (M, n, n) real steps of one of ``Generator.sectors``, n <= 16,
     each exponentiated once while it stays among the ``MEMO_STEPS`` most
-    recently used of its generator and dt.
+    recently used of its generator and sector, whatever their dt.
 
     A GA copies genes bit for bit, so about 70% of the steps of a GA run
-    on scenario (a) repeat an (hx, hy) pair exponentiated earlier in it.
-    Each interval's exact pair is looked up; the distinct missing ones run
-    through one ``_kernels.piecewise_steps`` call on the sector's real
+    on scenario (a) repeat a (dt, hx, hy) exponentiated earlier in it, and
+    a ring of one population's steps computes 28-33% of them.  Each
+    interval's exact (dt, hx, hy) is looked up; the distinct missing ones
+    run through one ``_kernels.piecewise_steps`` call on the sector's real
     ``(R_base, R_x, R_y)``, whose imaginary part is then exactly 0, and
-    their real part is stored.  One lock guards the lookups, the copy of the
-    hits and the stores, but not the kernel, which releases the interpreter
-    lock, so the GA's worker threads still overlap.  The rings are held
-    weakly per generator, like :func:`_noise_factors`.
+    their real part is stored.  One ring per sector serves every dt, so a
+    dt sweep holds no more than one.  One lock guards the lookups, the copy
+    of the hits and the stores, but not the kernel, which releases the
+    interpreter lock, so the GA's worker threads still overlap.  The rings
+    are held weakly per generator, like :func:`_noise_factors`.
     """
     _, *parts = gen.sectors[sector]
-    n, dt = len(parts[0]), pulses.dt
-    # the 16 bytes of each interval's (hx, hy): equal keys, bit-identical steps
-    keys = np.stack((pulses.hx, pulses.hy), axis=1).view("V16")[:, 0].tolist()
-    steps = np.empty((len(keys), n, n))
+    n, m, dt = len(parts[0]), pulses.num_pulses, pulses.dt
+    # the 24 bytes of each interval's (dt, hx, hy): equal keys, bit-identical steps
+    keys = np.stack((np.full(m, dt), pulses.hx, pulses.hy), axis=1).view("V24")[:, 0].tolist()
+    steps = np.empty((m, n, n))
     with _MEMO_LOCK:
         rings = _STEP_MEMOS.setdefault(gen, {})
-        ring = rings.get((dt, sector))
+        ring = rings.get(sector)
         if ring is None:
-            ring = rings[dt, sector] = _StepRing(n)
+            ring = rings[sector] = _StepRing(n)
         miss = ring.take(keys, steps)
     if miss:
-        new = {}  # each missing pair's row in fresh
+        new = {}  # each missing key's row in fresh
         rows = [new.setdefault(keys[k], len(new)) for k in miss]
-        hx, hy = np.frombuffer(b"".join(new), dtype=np.float64).reshape(-1, 2).T
+        _, hx, hy = np.frombuffer(b"".join(new), dtype=np.float64).reshape(-1, 3).T
         fresh = _kernels.piecewise_steps(*parts, hx, hy, dt).real
         steps[miss] = fresh[rows]
         with _MEMO_LOCK:

@@ -9,15 +9,17 @@ selection, two-point crossover, per-gene reset mutation, repeat until the
 next population is full.  The two best genomes of each generation survive
 unchanged with their fitness (elitism), so every genome is scored once.
 
-The GA scores each generation on every core the process may run on: each
-genome is one task on a pool of one worker thread per core, at most one
-per genome (master-worker fitness evaluation; Cantu-Paz, *Efficient and
-Accurate Parallel Genetic Algorithms*, Kluwer 2000).  Its objective may
-therefore be called from several threads at once.  Every objective built
-from this package is a pure function of its genome, and the compiled
-kernels release the interpreter lock, so the workers overlap.  Keep BLAS
-pinned to one thread (``OPENBLAS_NUM_THREADS=1``): workers times BLAS
-threads would oversubscribe the cores on the d^2 = 64 scenarios.
+The GA scores each generation on every core the process may run on, with
+a pool of one worker thread per core, at most one per genome, and one task
+per worker that takes genomes from a shared queue until none is left
+(master-worker fitness evaluation, dispatched per worker rather than per
+genome; Cantu-Paz, *Efficient and Accurate Parallel Genetic Algorithms*,
+Kluwer 2000).  Its objective may therefore be called from several threads
+at once.  Every objective built from this package is a pure function of
+its genome, and the compiled kernels release the interpreter lock, so the
+workers overlap.  Keep BLAS pinned to one thread
+(``OPENBLAS_NUM_THREADS=1``): workers times BLAS threads would
+oversubscribe the cores on the d^2 = 64 scenarios.
 """
 
 from __future__ import annotations
@@ -259,6 +261,20 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
+def _score(evaluate, genomes, todo, out):
+    """Write ``evaluate(genomes[i])`` into ``out[i]`` for each index ``i``
+    this thread takes from ``todo``, an iterator shared by every worker;
+    its ``next`` never releases the interpreter lock, so each index is
+    taken once.  On an error the indices left are dropped, so the other
+    workers stop after their current genome."""
+    try:
+        for i in todo:
+            out[i] = evaluate(genomes[i])
+    finally:
+        for _ in todo:
+            pass
+
+
 def ga_maximize(obj, bounds, num_pulses, cfg):
     """Generational GA over genomes of ``2 * num_pulses`` reals.
 
@@ -272,13 +288,16 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
     per-generation best scores)``.  Raises ``RuntimeError`` when no genome
     of any generation has a finite fitness.
 
-    Each genome is one task on a thread pool of one worker per core the
+    A generation is scored on a thread pool of one worker per core the
     process may run on, at most one per genome, so ``obj.evaluate`` must be
-    safe to call from several threads at once.  The pool's ``map`` returns
-    the fitnesses in genome order, so the result does not depend on the
-    worker count, and an exception raised by the objective propagates
-    unchanged.  Keep BLAS pinned to one thread, or the workers' BLAS threads
-    oversubscribe the cores.  The bounds must be finite.
+    safe to call from several threads at once.  Each worker runs one task
+    per generation, which takes the next genome index from one shared
+    iterator and writes its fitness at that index of a preallocated array
+    (:func:`_score`).  So the fitnesses stay in genome order, the result
+    does not depend on the worker count, and an exception raised by the
+    objective propagates unchanged.  Keep BLAS pinned to one thread, or
+    the workers' BLAS threads oversubscribe the cores.  The bounds must be
+    finite.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -293,10 +312,15 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
     fits = np.empty(0)  # of the survivors at the head of the population
     history = []
 
-    with ThreadPoolExecutor(min(_usable_cores(), size)) as pool:
+    workers = min(_usable_cores(), size)
+    with ThreadPoolExecutor(workers) as pool:
         for generation in range(cfg.generations):
             kept = len(fits)
-            new = np.fromiter(pool.map(obj.evaluate, population[kept:]), float, size - kept)
+            new, todo = np.empty(size - kept), iter(range(size - kept))
+            tasks = [pool.submit(_score, obj.evaluate, population[kept:], todo, new)
+                     for _ in range(workers)]
+            for task in tasks:
+                task.result()
             for i in np.flatnonzero(~np.isfinite(new)):
                 warnings.warn(
                     f"discarding genome {kept + i} with non-finite fitness {float(new[i])}",

@@ -135,6 +135,28 @@ class TestChains:
             want = scipy.linalg.expm(0.05 * (base + x * kx + y * ky))
             assert np.allclose(step, want, atol=1e-12)
 
+    def test_real_generators_stay_real(self, backend, rng):
+        # complex128 steps of SciPy's expm of the real stack, imaginary part exactly 0
+        base, kx, ky = rng.normal(size=(3, 16, 16))
+        hx, hy = rng.uniform(-5.0, 5.0, (2, 12))
+        steps = backend.piecewise_steps(base, kx, ky, hx, hy, 0.05)
+        want = scipy.linalg.expm(0.05 * (base + hx[:, None, None] * kx + hy[:, None, None] * ky))
+        assert want.dtype == np.float64
+        assert steps.dtype == np.complex128 and not np.any(steps.imag)
+        assert np.linalg.norm(steps.real - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_fallback_exponentiates_real_stack_once(self, monkeypatch, rng):
+        expm, seen = scipy.linalg.expm, []
+
+        def spy(a):
+            seen.append((a.shape, a.dtype))
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", spy)
+        base, kx, ky = rng.normal(size=(3, 16, 16))
+        _pykernels.piecewise_steps(base, kx, ky, *rng.normal(size=(2, 12)), 0.05)
+        assert seen == [((12, 16, 16), np.float64)]
+
     def test_empty_sequence_is_identity(self, backend, rng):
         # no interval, no step: the chains start from the identity
         base, kx, ky, _, _ = self._problem(rng, 4, 1)

@@ -585,9 +585,40 @@ class TestStepMemo:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(got, serial[k]) for results in found for k, got in results)
 
+    def test_population_scored_twice_runs_kernel_once(self, counted_steps, rng):
+        # the ring holds one default GA population's 64 x 32 steps on (a)
+        gen = scenario_a_generator()
+        population = [random_pulses(rng, 32, 0.065, 100.0) for _ in range(64)]
+        counts = counted_steps()
+        first = [total_propagator_exact(gen, pulses) for pulses in population]
+        assert counts["steps"] == 64 * 32
+        again = [total_propagator_exact(gen, pulses) for pulses in population]
+        assert counts["steps"] == 64 * 32
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_dt_sweep_holds_one_ring(self, counted_steps, rng):
+        # the same pulses at 10 values of dt: 10 distinct steps per interval,
+        # all in the sector's one ring of 4 MiB
+        gen = scenario_a_generator()
+        pulses = random_pulses(rng, 32, 0.065, 100.0)
+        sweep = [PulseSequence(pulses.hx, pulses.hy, dt) for dt in np.linspace(0.01, 0.1, 10)]
+        counts = counted_steps()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            channels = [total_propagator_exact(gen, p) for p in sweep]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert counts["steps"] == 10 * 32
+        assert len(lindblad._STEP_MEMOS[gen]) == 1
+        assert 4 * 2**20 <= held <= 4.5 * 2**20
+        for p, channel in zip(sweep, channels):
+            assert_close_to_oracle(gen, p, channel)
+
     def test_memory_is_bounded(self, counted_steps, rng):
-        # 5,000 distinct steps: the (1024, 16, 16) ring of 2 MiB and its
-        # index of 1,024 pairs are all the memo holds
+        # 5,000 distinct steps: the (2048, 16, 16) ring of 4 MiB and its
+        # index of 2,048 keys are all the memo holds
         gen = scenario_a_generator()
         inputs = [random_pulses(rng, 100, 0.065, 100.0) for _ in range(50)]
         counts = counted_steps()
@@ -600,7 +631,7 @@ class TestStepMemo:
         finally:
             tracemalloc.stop()
         assert counts["steps"] == 5000
-        assert 2 * 2**20 <= held <= 2.5 * 2**20
+        assert 4 * 2**20 <= held <= 4.75 * 2**20
         total_propagator_exact(gen, inputs[-1])  # still stored
         assert counts["steps"] == 5000
 

@@ -323,6 +323,30 @@ class TestGaWorkers:
             assert np.array_equal(genome, again[0])
             assert score == again[1] and history == again[2]
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 64])
+    def test_each_genome_scored_once(self, cores, count, monkeypatch):
+        # one task per worker and generation takes the genomes' indices from
+        # one shared iterator: no genome is skipped or scored twice
+        from concurrent.futures import ThreadPoolExecutor
+
+        submit, tasks = ThreadPoolExecutor.submit, []
+
+        def counted_submit(pool, *args):
+            tasks.append(args)
+            return submit(pool, *args)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+        size, generations = self.CONFIG.population_size, self.CONFIG.generations
+        runs = []
+        for workers in (1, count):  # the serial run, then count workers
+            cores(workers)
+            calls, tasks[:] = [], []
+            run_ga(self.CONFIG, calls)
+            assert len(calls) == size + (generations - 1) * (size - optim.ELITES)
+            assert len(tasks) == generations * min(workers, size)
+            runs.append(sorted(x.tobytes() for x in calls))
+        assert runs[0] == runs[1]
+
     def test_objective_error_propagates(self, cores):
         cores(2)
         error = np.linalg.LinAlgError("Pade solve failed")
