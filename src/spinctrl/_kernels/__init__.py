@@ -4,11 +4,13 @@ The Cython extension is used when it can be imported, the fallback
 otherwise; ``BACKEND`` names the one in use.  The fallback's exponentials
 are ``scipy.linalg.expm``; the compiled core is the package's only
 hand-written numerical kernel.  ``piecewise_steps`` takes any square
-generators.  The package passes it the d x d ``-iH``, for the interval
-unitaries ``exp(-i dt H_k)`` of the split propagator and the noiseless
-first-order gradient, and the real parts of each symmetry sector of at
-most 16 columns of the generator's real form in the Hermitian basis
-(``lindblad.Generator.sectors``), for the exact steps that
+generators.  The package passes it each reflection block ``-i V^T H V`` of
+the d x d ``-iH`` (``lindblad.Generator.blocks``; 6 x 6 and 2 x 2 on
+scenario (d), the whole d x d ``-iH`` without a reflection), for the
+interval unitaries ``exp(-i dt H_k)`` of the split propagator and of the
+noiseless propagator and first-order gradient, and the real parts of each
+symmetry sector of at most 16 columns of the generator's real form in the
+Hermitian basis (``lindblad.Generator.sectors``), for the exact steps that
 ``lindblad._memo_steps`` has not stored yet.  The compiled core works in
 complex arithmetic; the fallback exponentiates real inputs as real, in
 one ``scipy.linalg.expm`` call on the stack, and casts only the result.

@@ -339,7 +339,7 @@ class TestExactPropagation:
         assert got.dtype == np.complex128
         assert np.array_equal(got, np.eye(gen.dim**2))
 
-    @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     @pytest.mark.parametrize("scenario_id", list("def"))
     def test_real_basis_chain_matches_compiled_kernel(self, scenario_id, kind, rng, monkeypatch):
         # every sector at d = 8 has more than 16 columns, so none runs the kernel
@@ -370,23 +370,46 @@ class TestExactPropagation:
         forbid_lindblad_expm(monkeypatch, "a 16-column sector ran SciPy's expm")
         assert_close_to_oracle(gen, pulses, total_propagator_exact(gen, pulses))
 
-    @pytest.mark.parametrize("kind", [None, "amplitude_damping", "phase_damping"])
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     def test_two_qubit_sectors_of_ten_and_six(self, kind, rng, monkeypatch):
         # driving both sites of a 2-qubit chain keeps the reflection, so the
         # 16 columns split into two sectors, each run by the compiled kernel
-        system = SpinSystem.chain(2)
-        x, y = (kron(pauli(a), np.eye(2)) + kron(np.eye(2), pauli(a)) for a in "xy")
-        noise = kind and NoiseSpec.on_all_sites(kind, 0.1, 2)
-        collapse = build_collapse_ops(system, noise) if noise else ()
-        gen = Generator(build_drift(system), (x, y), collapse)
+        gen = both_sites_generator(kind)
         assert [q.shape[1] for q, *_ in gen.sectors] == [10, 6]
         pulses = random_pulses(rng, 32, 0.065, 100.0)
         forbid_lindblad_expm(monkeypatch, "a sector of 10 or 6 columns ran SciPy's expm")
         assert_close_to_oracle(gen, pulses, total_propagator_exact(gen, pulses))
-        for h in (5.0, 100.0):
-            _, bound = dt_validity_check(gen, h, 0.01)
-            sigma_max = np.linalg.svd(dense_generator(gen, h, h), compute_uv=False)[0]
-            assert abs(bound * sigma_max - 1.0) < 1e-12
+        assert_bound_is_inverse_norm(gen)
+
+    @pytest.mark.parametrize("case", [*"abcdef", "both-sites"])
+    def test_noiseless_chain_is_unitary_conjugation(self, case, rng, monkeypatch):
+        # without collapse operators the channel is U kron conj(U) of the
+        # d x d product: one piecewise_steps call per reflection block and no
+        # sector chain, on the catalog scenarios and on a 2-qubit chain
+        # driven on both sites (blocks of 3 and 1)
+        if case == "both-sites":
+            gen, dt, h_max = both_sites_generator(None), 0.065, 100.0
+        else:
+            scenario = next(s for s in scenario_catalog() if s.id == case)
+            gen = build_generator(scenario.system, scenario.control_site, None)
+            dt, h_max = scenario.total_time / scenario.num_pulses, scenario.h_max
+        kernel, calls = _kernels.piecewise_steps, []
+
+        def steps(base, *args):
+            calls.append(np.shape(base))
+            return kernel(base, *args)
+
+        monkeypatch.setattr(_kernels, "piecewise_steps", steps)
+        forbid_lindblad_expm(monkeypatch, "a noiseless chain ran SciPy's expm")
+        for h in (5.0, h_max):
+            pulses = random_pulses(rng, 32, dt, h)
+            assert_close_to_oracle(gen, pulses, total_propagator_exact(gen, pulses))
+        assert calls == 2 * [(v.shape[1],) * 2 for v, *_ in gen.blocks]
+        got = total_propagator_exact(gen, PulseSequence([], [], dt))
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, np.eye(gen.dim**2))
+        if case == "both-sites":
+            assert_bound_is_inverse_norm(gen)
 
     def test_rejects_generator_that_breaks_hermiticity(self, rng):
         # the commutator -i [H, rho] of a non-Hermitian H is not real in the
@@ -457,13 +480,23 @@ def scenario_a_generator():
     return build_generator(scenario.system, scenario.control_site, noise)
 
 
-def both_sites_generator():
-    """A 2-qubit chain driven on both sites, with phase damping: sectors of
-    10 and 6 columns."""
+def both_sites_generator(kind="phase_damping"):
+    """A 2-qubit chain driven on both sites, with ``kind`` at rate 0.1 on
+    both sites, or no noise when None: sectors of 10 and 6 columns, blocks
+    of 3 and 1."""
     system = SpinSystem.chain(2)
     x, y = (kron(pauli(a), np.eye(2)) + kron(np.eye(2), pauli(a)) for a in "xy")
-    noise = NoiseSpec.on_all_sites("phase_damping", 0.1, 2)
-    return Generator(build_drift(system), (x, y), build_collapse_ops(system, noise))
+    collapse = build_collapse_ops(system, NoiseSpec.on_all_sites(kind, 0.1, 2)) if kind else ()
+    return Generator(build_drift(system), (x, y), collapse)
+
+
+def assert_bound_is_inverse_norm(gen):
+    """``dt_validity_check``'s bound is the inverse of the dense
+    generator's largest singular value at |h| = 5 and 100."""
+    for h in (5.0, 100.0):
+        _, bound = dt_validity_check(gen, h, 0.01)
+        sigma_max = np.linalg.svd(dense_generator(gen, h, h), compute_uv=False)[0]
+        assert abs(bound * sigma_max - 1.0) < 1e-12
 
 
 def assert_close_to_oracle(gen, pulses, got):
@@ -690,7 +723,9 @@ class TestGeneratorInvariants:
             dataclasses.replace(gen, **changes)
 
     def test_derived_fields(self):
-        assert DERIVED_FIELDS == ["dim", "jump_part", "decay", "noiseless", "reflection", "sectors"]
+        assert DERIVED_FIELDS == [
+            "dim", "jump_part", "decay", "noiseless", "reflection", "sectors", "blocks"
+        ]
 
     @pytest.mark.parametrize("name", DERIVED_FIELDS)
     def test_derived_fields_are_read_only(self, name):
@@ -1154,15 +1189,16 @@ class TestSplitKronecker:
             assert np.max(np.abs(got_grad - want_grad)) < 1e-12 * np.max(np.abs(want_grad))
 
     def test_noiseless_gradients_skip_dense_kernels(self, rng, monkeypatch):
-        # the only exponentials are the d x d unitaries of noiseless
-        # machnes_gradient, from one piecewise_steps call
+        # the only exponentials are the unitaries of noiseless
+        # machnes_gradient, from one piecewise_steps call per reflection
+        # block: 6 x 6 and 2 x 2 on (d)
         scenario = scenario_catalog()[3]
         gen, pulses = catalog_generator_and_pulses(scenario, rng)
         unitary_steps = lindblad._kernels.piecewise_steps
         calls = []
 
         def steps(base, *args):
-            if np.shape(base) != (gen.dim, gen.dim):
+            if np.shape(base) not in [(6, 6), (2, 2)]:
                 raise AssertionError("dense kernel called on a noiseless chain")
             calls.append(np.shape(base))
             return unitary_steps(base, *args)
@@ -1173,7 +1209,7 @@ class TestSplitKronecker:
         split_gradient(gen, pulses, target)
         assert calls == []
         machnes_gradient(gen, pulses, target)
-        assert calls == [(gen.dim, gen.dim)]
+        assert calls == [(6, 6), (2, 2)]
 
     @pytest.mark.parametrize("kind", ["amplitude_damping", "phase_damping"])
     @pytest.mark.parametrize("scenario_id", ["a", "d"])
@@ -1219,8 +1255,8 @@ class TestSplitKronecker:
         split_gradient(gen, pulses, target)
 
     def test_split_propagator_takes_unitaries_from_one_kernel_call(self, rng, monkeypatch):
-        # the interval unitaries come from one piecewise_steps call on the
-        # d x d -iH, not from an eigendecomposition
+        # the interval unitaries come from one piecewise_steps call per
+        # reflection block of the d x d -iH, not from an eigendecomposition
         scenario = scenario_catalog()[3]
         noise = NoiseSpec.on_all_sites("amplitude_damping", 0.1, scenario.num_qubits)
         gen = build_generator(scenario.system, scenario.control_site, noise)
@@ -1238,7 +1274,7 @@ class TestSplitKronecker:
         monkeypatch.setattr(lindblad._kernels, "piecewise_steps", steps)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         split_propagator(gen, pulses)
-        assert calls == [(gen.dim, gen.dim)]
+        assert calls == [(6, 6), (2, 2)]
 
     @pytest.mark.parametrize("noise", [None, "amplitude_damping"])
     def test_machnes_gradient_does_not_warn_at_catalog_dt(self, noise, rng):
@@ -1723,8 +1759,9 @@ def without_reflection(monkeypatch, gen):
 class TestReflectionSectors:
     """Scenario (d)'s chain reflection, which swaps qubits 0 and 2, is kept
     only when it commutes with the whole generator.  Then the noisy split
-    gradient runs one input column per orbit and the dense real chains run
-    per sector, checked against the same model without the reflection."""
+    gradient runs one input column per orbit, the dense real chains run per
+    sector and the d x d unitaries per block, checked against the same model
+    without the reflection."""
 
     KINDS = ["amplitude_damping", "phase_damping"]
 
@@ -1742,6 +1779,78 @@ class TestReflectionSectors:
         _, gen = reflection_generator(scenario_id, kind, sites)
         assert np.array_equal(gen.reflection, np.arange(gen.dim))
         assert len(gen.sectors) == 1
+
+    @pytest.mark.parametrize("kind", [None, *KINDS])
+    def test_blocks_of_six_and_two_on_d(self, kind):
+        # H commutes with the reflection whatever the noise, but the blocks
+        # follow the kept reflection: (d) noiseless or noisy on every site
+        scenario = next(s for s in scenario_catalog() if s.id == "d")
+        noise = kind and NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        assert [v.shape for v, *_ in gen.blocks] == [(8, 6), (8, 2)]
+
+    @pytest.mark.parametrize("kind", [None, *KINDS])
+    @pytest.mark.parametrize("scenario_id", list("abcef"))
+    def test_one_identity_block_elsewhere(self, scenario_id, kind):
+        scenario = next(s for s in scenario_catalog() if s.id == scenario_id)
+        noise = kind and NoiseSpec.on_all_sites(kind, 0.1, scenario.num_qubits)
+        gen = build_generator(scenario.system, scenario.control_site, noise)
+        [(v, *hams)] = gen.blocks
+        assert np.array_equal(v, np.eye(gen.dim))
+        assert all(np.array_equal(h, x) for h, x in zip(hams, (gen.drift, *gen.controls)))
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: reflection_generator("d", "amplitude_damping")[1], id="d"),
+        pytest.param(lambda: both_sites_generator(None), id="both-sites"),
+    ])
+    def test_blocks_are_orthonormal_and_do_not_leak(self, build):
+        # W, the blocks' bases side by side, is orthogonal, and W^T H W is
+        # block diagonal with the blocks' own Hamiltonians on its diagonal
+        gen = build()
+        w = np.hstack([v for v, *_ in gen.blocks])
+        assert np.max(np.abs(w.T @ w - np.eye(gen.dim))) < 1e-15
+        ends = np.cumsum([v.shape[1] for v, *_ in gen.blocks])
+        for i, h in enumerate((gen.drift, *gen.controls), 1):
+            rotated = w.T @ h @ w
+            for (start, end), block in zip(zip([0, *ends[:-1]], ends), gen.blocks):
+                assert np.max(np.abs(rotated[start:end, start:end] - block[i])) < 1e-15
+                rotated[start:end, start:end] = 0
+            assert np.max(np.abs(rotated)) < 1e-15
+
+    def test_block_unitaries_match_full_kernel(self, monkeypatch, rng):
+        scenario, gen = reflection_generator("d", "amplitude_damping")
+        pulses = random_pulses(
+            rng, scenario.num_pulses, scenario.total_time / scenario.num_pulses, scenario.h_max
+        )
+        hams = [-1j * h for h in (gen.drift, *gen.controls)]
+        want = _kernels.piecewise_steps(*hams, pulses.hx, pulses.hy, pulses.dt)
+        w, u = lindblad._interval_unitaries(gen, pulses)
+        assert np.max(np.abs(w @ u @ w.T - want)) < 1e-13
+        # without the reflection the one block is the d x d kernel call's
+        w, u = lindblad._interval_unitaries(without_reflection(monkeypatch, gen), pulses)
+        assert np.array_equal(w, np.eye(gen.dim)) and np.array_equal(u, want)
+
+    def test_orbits_built_once_per_generator(self, monkeypatch, rng):
+        # the kept columns, weights and reflection index of a generator are
+        # built by the first call; every call averages its own target
+        scenario, gen = reflection_generator("d", "amplitude_damping")
+        pulses = random_pulses(rng, 16, scenario.total_time / scenario.num_pulses, 5.0)
+        unique, calls = np.unique, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        target = target_superoperator(scenario)
+        first = lindblad._hermitian_half(gen, target)
+        second = lindblad._hermitian_half(gen, target)
+        assert len(calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
+        f, grad = split_gradient(gen, pulses, target)
+        again = split_gradient(gen, pulses, target)
+        assert len(calls) == 1
+        assert f == again[0] and np.array_equal(grad, again[1])
 
     @pytest.mark.parametrize("scenario_id, kept", [("d", 24), ("f", 36), ("a", 10)])
     def test_orbit_weights(self, scenario_id, kept):
