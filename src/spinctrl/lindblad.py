@@ -775,9 +775,11 @@ def machnes_gradient(gen, pulses, target):
 def dt_validity_check(gen, h_max, dt):
     """Check ``dt`` against the approximate-gradient validity bound.
 
-    The bound is the inverse of the exact spectral norm (largest singular
-    value) of the ``(d^2, d^2)`` generator at full control amplitude: the
-    largest of its sectors' ``R_base + h R_x + h R_y``, as F is block
+    The bound is the inverse of the largest exact spectral norm (largest
+    singular value) of the ``(d^2, d^2)`` generator over the control box
+    ``|hx|, |hy| <= h_max``.  The norm is convex in ``(hx, hy)``, so its
+    maximum sits at one of the box's four corners; at each corner it is the
+    largest of the sectors' ``R_base + hx R_x + hy R_y``, as F is block
     diagonal in the unitary basis of the sectors' Q.  The check passes when
     ``dt`` is at most a tenth of it.  The verdict belongs to a run's
     discretisation, so call it once per run, not per gradient.
@@ -788,8 +790,9 @@ def dt_validity_check(gen, h_max, dt):
         raise ValueError("h_max must be finite and >= 0")
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
-    norm = max(float(np.linalg.norm(r_base + h_max * r_x + h_max * r_y, 2))
-               for _, r_base, r_x, r_y in gen.sectors)
+    norm = max(float(np.linalg.norm(r_base + hx * r_x + hy * r_y, 2))
+               for _, r_base, r_x, r_y in gen.sectors
+               for hx in (h_max, -h_max) for hy in (h_max, -h_max))
     bound = math.inf if norm == 0.0 else 1.0 / norm
     return dt <= bound / 10.0, bound
 

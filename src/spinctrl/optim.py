@@ -4,10 +4,11 @@ genetic algorithm.
 Both maximize.  The quasi-Newton routine is a limited-memory BFGS (10
 curvature pairs) with gradient projection onto the box and an Armijo
 backtracking line search clipped to the bounds, of at most 20 trials.  The
-GA follows the classic generational loop: two parents by tournament
-selection, two-point crossover, per-gene reset mutation, repeat until the
-next population is full.  The two best genomes of each generation survive
-unchanged with their fitness (elitism), so every genome is scored once.
+GA is generational and breeds each generation in one array step: every
+parent by tournament selection at once, two-point crossover of each pair of
+parents, per-gene reset mutation of every child.  The two best genomes of
+each generation survive unchanged with their fitness (elitism), so every
+genome is scored once.
 
 The GA scores each generation on every core the process may run on, with
 a pool of one worker thread per core, at most one per genome, and one task
@@ -39,9 +40,6 @@ __all__ = [
     "Bounds",
     "GaConfig",
     "lbfgs_b_maximize",
-    "mutate",
-    "crossover_two_point",
-    "select",
     "ga_maximize",
 ]
 
@@ -72,7 +70,7 @@ class Bounds:
         return rng.uniform(self.lower, self.upper, size)
 
 
-KEEP_PROBABILITY = 0.95  # per gene, in mutate
+KEEP_PROBABILITY = 0.95  # per gene, in the mutation step of _breed
 TOURNAMENT_SIZE = 3
 ELITES = 2
 
@@ -209,48 +207,30 @@ def lbfgs_b_maximize(obj, bounds, start, max_iters=500):
     return x, -phi, iters
 
 
-def mutate(genome, rng, bounds):
-    """Keep each gene with probability ``KEEP_PROBABILITY``, else redraw
-    uniformly in the bounds.  Consumes exactly two rng draws per gene (one
-    keep decision, one replacement value), so the stream advance is
-    input-independent.
-    """
-    genome = np.asarray(genome, dtype=np.float64)
-    keep = rng.random(genome.size) < KEEP_PROBABILITY
-    replacement = bounds.uniform(rng, genome.size)
-    return np.where(keep, genome, replacement)
-
-
-def crossover_two_point(x, y, rng):
-    """Two-point crossover: the strict interior ``c1 < i < c2`` is swapped.
-
-    ``c1 < c2`` are drawn uniformly over distinct positions; an adjacent
-    pair leaves both children equal to their parents.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("parents must have equal length")
-    n = x.size
-    if n < 2:
-        return x.copy(), y.copy()
-    c1, c2 = np.sort(rng.choice(n, size=2, replace=False))
-    idx = np.arange(n)
-    outer = (idx <= c1) | (idx >= c2)
-    return np.where(outer, x, y), np.where(outer, y, x)
-
-
-def select(population, rng):
-    """Pick one parent genome from ``(genome, fitness)`` pairs: the best of
-    ``TOURNAMENT_SIZE`` uniform draws, fitness ties broken toward the lower
-    population index.
-    """
-    size = len(population)
-    if size == 0:
-        raise ValueError("cannot select from an empty population")
-    draws = rng.integers(0, size, size=TOURNAMENT_SIZE)
-    best = min(draws, key=lambda i: (-population[i][1], i))
-    return population[best][0]
+def _breed(population, order, rng, bounds):
+    """The next generation of ``population``, whose genomes rank best first
+    in ``order``: its ``ELITES`` best genomes, then P - ``ELITES`` children,
+    bred in three array steps.  Every draw has a fixed shape, so the stream
+    advance does not depend on the fitnesses."""
+    size, n = population.shape
+    count = size - ELITES
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    # tournament: each parent is the best of TOURNAMENT_SIZE uniform draws,
+    # the one of lowest rank, so fitness ties go to the lower index
+    draws = rng.integers(0, size, (count, TOURNAMENT_SIZE))
+    parents = population[order[rank[draws].min(axis=1)]].reshape(count // 2, 2, n)
+    # two-point crossover: the two smallest of n uniforms place two distinct
+    # cuts c1 < c2 uniformly, and the pair swaps its strict interior
+    cuts = np.sort(np.argpartition(rng.random((count // 2, n)), 1, axis=1)[:, :2], axis=1)
+    genes = np.arange(n)
+    inner = (genes > cuts[:, :1]) & (genes < cuts[:, 1:])
+    children = np.where(inner[:, None], parents[:, ::-1], parents).reshape(count, n)
+    # mutation: each gene is kept with probability KEEP_PROBABILITY, else
+    # redrawn uniformly in the bounds
+    keep = rng.random(children.shape) < KEEP_PROBABILITY
+    children = np.where(keep, children, bounds.uniform(rng, children.shape))
+    return np.concatenate([population[order[:ELITES]], children])
 
 
 def _usable_cores():
@@ -279,14 +259,14 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
     """Generational GA over genomes of ``2 * num_pulses`` reals.
 
     The ``ELITES`` best genomes of a generation survive unchanged, with
-    their fitness, at the head of the next; the rest of it comes from
-    select / crossover / mutate pairs and is the only part scored, so the
-    objective is called ``P + (G - 1) (P - ELITES)`` times for population
-    P and G generations.  The best genome of the last generation is thus
-    the best of the run.  With a deterministic objective the run is a pure
-    function of ``cfg.seed``.  Returns ``(best genome, best score,
-    per-generation best scores)``.  Raises ``RuntimeError`` when no genome
-    of any generation has a finite fitness.
+    their fitness, at the head of the next; the rest of it is bred by
+    :func:`_breed` and is the only part scored, so the objective is called
+    ``P + (G - 1) (P - ELITES)`` times for population P and G generations.
+    The best genome of the last generation is thus the best of the run.
+    With a deterministic objective the run is a pure function of
+    ``cfg.seed``.  Returns ``(best genome, best score, per-generation best
+    scores)``.  Raises ``RuntimeError`` when no genome of any generation
+    has a finite fitness.
 
     A generation is scored on a thread pool of one worker per core the
     process may run on, at most one per genome, so ``obj.evaluate`` must be
@@ -334,14 +314,7 @@ def ga_maximize(obj, bounds, num_pulses, cfg):
             if generation == cfg.generations - 1:
                 break
 
-            scored = list(zip(population, fits))
-            offspring = list(population[order[:ELITES]])
-            while len(offspring) < size:
-                mom, dad = select(scored, rng), select(scored, rng)
-                sister, brother = crossover_two_point(mom, dad, rng)
-                offspring.append(mutate(sister, rng, bounds))
-                offspring.append(mutate(brother, rng, bounds))
-            population, fits = np.array(offspring), fits[order[:ELITES]]
+            population, fits = _breed(population, order, rng, bounds), fits[order[:ELITES]]
 
     if history[-1] == -np.inf:
         raise RuntimeError(

@@ -1423,6 +1423,17 @@ class TestValidityCheck:
         assert [q.shape[1] for q, *_ in gen.sectors] == [10, 6]
         assert abs(dt_validity_check(gen, 0.0, 0.01)[1] - 0.5) < 1e-14
 
+    def test_norm_at_an_off_diagonal_corner(self):
+        # with controls sigma_x and -sigma_x, H vanishes at (h, h) and
+        # (-h, -h) and is 2 h sigma_x at (h, -h) and (-h, h): norm 4 h there
+        x = pauli("x")
+        gen = Generator(np.zeros((2, 2)), (x, -x))
+        ok, bound = dt_validity_check(gen, 1.0, 1000.0)
+        assert not ok and abs(bound - 0.25) < 1e-14
+        sigma_max = max(np.linalg.svd(dense_generator(gen, hx, hy), compute_uv=False)[0]
+                        for hx in (1.0, -1.0) for hy in (1.0, -1.0))
+        assert abs(bound * sigma_max - 1.0) < 1e-14
+
     @pytest.mark.parametrize("h", [5.0, 100.0])
     def test_bound_is_inverse_largest_singular_value(self, h):
         # with and without noise the norm is that of the d^2 x d^2 generator

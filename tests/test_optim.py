@@ -14,10 +14,8 @@ from spinctrl.optim import (
     Bounds,
     GaConfig,
     Objective,
-    crossover_two_point,
     ga_maximize,
     lbfgs_b_maximize,
-    mutate,
 )
 
 
@@ -176,13 +174,13 @@ def test_import_leaves_module_unloaded(module):
     assert not loaded_by_import(module)
 
 
-def run_ga(cfg, calls=None):
+def run_ga(cfg, calls=None, num_pulses=3):
     def evaluate(x):
         if calls is not None:
             calls.append(np.array(x))
         return sphere(x)
 
-    return ga_maximize(Objective(evaluate=evaluate), Bounds(-2.0, 2.0), 3, cfg)
+    return ga_maximize(Objective(evaluate=evaluate), Bounds(-2.0, 2.0), num_pulses, cfg)
 
 
 def state_fitness_ga(cfg):
@@ -225,38 +223,41 @@ class TestGa:
         assert score == max(scores) == history[-1]
         assert any(np.array_equal(genome, x) for x, f in zip(calls, scores) if f == score)
 
-    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_mutate_consumes_two_draws_per_gene(self, p, monkeypatch):
-        # mutate reads the keep probability from KEEP_PROBABILITY
-        monkeypatch.setattr(optim, "KEEP_PROBABILITY", p)
-        bounds = Bounds(-2.0, 2.0)
-        genome = np.linspace(-1.0, 1.0, 9)
-        rng = np.random.default_rng(3)
-        child = mutate(genome, rng, bounds)
-        expected = np.random.default_rng(3)
-        expected.random(genome.size)
-        bounds.uniform(expected, genome.size)
-        assert rng.bit_generator.state == expected.bit_generator.state
-        if p == 1.0:
-            assert np.array_equal(child, genome)
-        assert np.all((child >= -2.0) & (child <= 2.0))
+    def test_every_child_gene_is_a_parent_gene_or_a_draw(self):
+        # a child gene is bit for bit its parent's gene at the same position,
+        # which is what lets the step memo find repeated pulse steps, or a
+        # fresh draw in the bounds, which matches no gene of the parents
+        cfg = GaConfig(population_size=64, generations=5, seed=3)
+        calls = []
+        run_ga(cfg, calls)
+        size = cfg.population_size
+        population, fresh, children = np.array(calls[:size]), 0, 0
+        for g in range(1, cfg.generations):
+            fits = np.array([sphere(x) for x in population])
+            order = np.argsort(-fits, kind="stable")
+            start = size + (g - 1) * (size - optim.ELITES)
+            bred = np.array(calls[start:start + size - optim.ELITES])
+            for child in bred:
+                for i, gene in enumerate(child):
+                    if gene not in population[:, i]:
+                        assert -2.0 <= gene <= 2.0 and gene not in population
+                        fresh += 1
+                    children += 1
+            population = np.concatenate([population[order[:optim.ELITES]], bred])
+        assert len(calls) == start + size - optim.ELITES
+        # each gene is redrawn with probability 1 - KEEP_PROBABILITY = 0.05
+        assert 0.025 < fresh / children < 0.1
 
-    def test_crossover_swaps_strict_interior(self):
-        n = 6
-        x = np.arange(n, dtype=float)
-        y = -1.0 - x
-        lengths = set()
-        for seed in range(200):
-            first, second = crossover_two_point(x, y, np.random.default_rng(seed))
-            swapped = np.flatnonzero(first != x)
-            assert np.array_equal(first[swapped], y[swapped])
-            assert np.array_equal(second, np.where(first == x, y, x))
-            if swapped.size:
-                # one contiguous run that never reaches either end
-                assert np.array_equal(swapped, np.arange(swapped[0], swapped[-1] + 1))
-                assert swapped[0] >= 1 and swapped[-1] <= n - 2
-            lengths.add(swapped.size)
-        assert lengths == set(range(n - 1))
+    def test_smallest_ga(self):
+        # population 4 of two genes, whose only cut pair (0, 1) has an empty
+        # interior (TestBreed.test_two_genes_copy_the_parents)
+        cfg = GaConfig(population_size=4, generations=6, seed=5)
+        calls = []
+        genome, score, history = run_ga(cfg, calls, num_pulses=1)
+        assert len(calls) == 4 + (cfg.generations - 1) * (4 - optim.ELITES) == 14
+        assert all(x.shape == (2,) and np.all(np.abs(x) <= 2.0) for x in calls)
+        assert genome.shape == (2,) and history == sorted(history) and score == history[-1]
+
 
     def test_raises_when_no_fitness_is_finite(self):
         objective = Objective(evaluate=lambda x: np.nan)
@@ -292,6 +293,84 @@ class TestGa:
     def test_rejects_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError, match="finite bounds"):
             ga_maximize(Objective(evaluate=sphere), Bounds(*bounds), 3, self.CONFIG)
+
+
+class TestBreed:
+    BOUNDS = Bounds(-1.0, 1.0)
+
+    @staticmethod
+    def population(size, n):
+        """Genome j holds 100 j + i at position i, outside the bounds, so
+        every gene names its genome and its position."""
+        return 100.0 * np.arange(size)[:, None] + np.arange(n)
+
+    @staticmethod
+    def breed(population, fits, rng):
+        order = np.argsort(-np.asarray(fits, dtype=float), kind="stable")
+        return optim._breed(population, order, rng, TestBreed.BOUNDS)
+
+    def test_stream_advance_independent_of_fitness(self):
+        states = []
+        for fits in (np.arange(8.0), np.zeros(8)):
+            rng = np.random.default_rng(4)
+            self.breed(self.population(8, 6), fits, rng)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+
+    def test_elites_lead_in_rank_order(self):
+        fits = [3.0, 9.0, 1.0, 9.0, 5.0, 0.0, 2.0, 4.0]
+        child = self.breed(self.population(8, 6), fits, np.random.default_rng(0))
+        assert child.shape == (8, 6)
+        assert np.array_equal(child[:optim.ELITES], self.population(8, 6)[[1, 3]])
+
+    def test_crossover_swaps_one_strict_interior_run(self, monkeypatch):
+        monkeypatch.setattr(optim, "KEEP_PROBABILITY", 1.0)
+        size, n = 16, 6
+        population, lengths = self.population(size, n), set()
+        for seed in range(100):
+            child = self.breed(population, np.arange(size), np.random.default_rng(seed))[optim.ELITES:]
+            assert np.array_equal(child % 100, np.broadcast_to(np.arange(n), child.shape))
+            source = child // 100
+            for first, second in zip(source[0::2], source[1::2]):
+                mom, dad = first[0], second[0]  # position 0 is never swapped
+                swapped = np.flatnonzero(first != mom)
+                assert np.all(first[swapped] == dad)
+                assert np.array_equal(second, np.where(first == mom, dad, mom))
+                if mom == dad:
+                    continue
+                if swapped.size:
+                    # one contiguous run that never reaches either end
+                    assert np.array_equal(swapped, np.arange(swapped[0], swapped[-1] + 1))
+                    assert swapped[0] >= 1 and swapped[-1] <= n - 2
+                lengths.add(swapped.size)
+        assert lengths == set(range(n - 1))
+
+    def test_two_genes_copy_the_parents(self, monkeypatch):
+        # the only cut pair of two genes is (0, 1), with an empty interior
+        monkeypatch.setattr(optim, "KEEP_PROBABILITY", 1.0)
+        population = self.population(4, 2)
+        for seed in range(10):
+            child = self.breed(population, np.arange(4), np.random.default_rng(seed))
+            assert all(any(np.array_equal(c, p) for p in population) for c in child)
+
+    def test_every_gene_redrawn_without_keeping(self, monkeypatch):
+        monkeypatch.setattr(optim, "KEEP_PROBABILITY", 0.0)
+        population = self.population(8, 6)
+        child = self.breed(population, np.arange(8), np.random.default_rng(2))[optim.ELITES:]
+        assert np.all((child >= -1.0) & (child <= 1.0))
+        assert not np.isin(child, population).any()
+        assert len(np.unique(child)) == child.size
+
+    def test_tournament_winner_is_best_draw_lower_index_on_ties(self, monkeypatch):
+        monkeypatch.setattr(optim, "KEEP_PROBABILITY", 1.0)
+        size = 10
+        fits = np.random.default_rng(1).integers(0, 3, size).astype(float)
+        for seed in range(20):
+            child = self.breed(self.population(size, 4), fits, np.random.default_rng(seed))[optim.ELITES:]
+            draws = np.random.default_rng(seed).integers(
+                0, size, (size - optim.ELITES, optim.TOURNAMENT_SIZE))
+            winners = [min(row, key=lambda i: (-fits[i], i)) for row in draws]
+            assert np.array_equal(child[:, 0] // 100, winners)  # position 0 is never swapped
 
 
 class TestGaWorkers:
